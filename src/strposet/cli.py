@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .conditions import (check_j1, check_j2, check_j4, check_p1_to_p4,
                          survey_j3, survey_p5, witness_battery)
@@ -35,7 +35,8 @@ EXIT_PARSE = 3
 
 
 class CliError(Exception):
-    """Input problem (bad file, bad label, bad node syntax); exits 3."""
+    """Input problem (bad file, bad label, bad node syntax); exits 3, as does
+    any ValueError a verb's inputs provoke in the library."""
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -66,21 +67,13 @@ def _labels(text: str) -> list[str]:
     return parts
 
 
-def _h1_mask(fragment: PosetFragment, text: str) -> int:
+def _mask(resolve: Callable[[str], int], text: str) -> int:
+    """Bitmask of the comma-separated labels; ``resolve`` is the fragment's
+    ``resolve_h1_label`` or ``resolve_h2_label``."""
     mask = 0
     for label in _labels(text):
         try:
-            mask |= 1 << fragment.resolve_h1_label(label)
-        except KeyError as exc:
-            raise CliError(str(exc.args[0]))
-    return mask
-
-
-def _h2_mask(fragment: PosetFragment, text: str) -> int:
-    mask = 0
-    for label in _labels(text):
-        try:
-            mask |= 1 << fragment.resolve_h2_label(label)
+            mask |= 1 << resolve(label)
         except KeyError as exc:
             raise CliError(str(exc.args[0]))
     return mask
@@ -91,7 +84,8 @@ def parse_node(fragment: PosetFragment, text: str):
     if text.count("|") != 1:
         raise CliError(f"node must look like 'a,b|d,e', got {text!r}")
     left, right = text.split("|")
-    node = finite_node(_h1_mask(fragment, left), _h2_mask(fragment, right))
+    node = finite_node(_mask(fragment.resolve_h1_label, left),
+                       _mask(fragment.resolve_h2_label, right))
     if not str_member(fragment, node):
         raise CliError(f"{text!r} is not a member pair "
                        "(needs a curve below every listed point)")
@@ -122,10 +116,7 @@ def cmd_gen(args) -> int:
     if args.model == "cusp":
         fragment = cusp_fragment()
     elif args.model == "affine":
-        try:
-            fragment = affine_plane_fragment(args.p, args.d)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        fragment = affine_plane_fragment(args.p, args.d)
     else:
         fields = {}
         if args.config is not None:
@@ -144,7 +135,7 @@ def cmd_gen(args) -> int:
                            "(or a config file providing them)")
         try:
             fragment = random_fragment(GeneratorParams(**fields))
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise CliError(str(exc))
     _emit(dumps_fragment(fragment), args.output)
     return EXIT_OK
@@ -174,14 +165,11 @@ def cmd_check(args) -> int:
 
 def cmd_fiber(args) -> int:
     fragment = _load(args.fragment)
-    b_mask = _h2_mask(fragment, args.b)
+    b_mask = _mask(fragment.resolve_h2_label, args.b)
     support = (fragment.all_h1_mask if args.support is None
-               else _h1_mask(fragment, args.support))
+               else _mask(fragment.resolve_h1_label, args.support))
     amax = support.bit_count() if args.amax is None else args.amax
-    try:
-        view = enumerate_fiber(fragment, b_mask, support, amax)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    view = enumerate_fiber(fragment, b_mask, support, amax)
     if args.dot:
         _emit(view.to_dot(include_via=not args.no_via), args.output)
     else:
@@ -370,7 +358,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -81,10 +81,8 @@ def find_p5_witness(fragment: PosetFragment, s_mask: int, t_mask: int
     """
     if not s_mask or not t_mask:
         raise ValueError("S and T must be nonempty")
-    for w in range(fragment.n1):
+    for w in bits_of(fragment.common_h1_below(t_mask)):
         upw = fragment.up[w]
-        if t_mask & ~upw:
-            continue
         if all((fragment.up[s] & upw & ~t_mask) == 0 for s in bits_of(s_mask)):
             return w
     return None
@@ -137,20 +135,11 @@ def find_j3_witness(fragment: PosetFragment, m: int, f_mask: int = 0,
     if not 0 <= m < fragment.n2:
         raise ValueError(f"h2 index {m} out of range")
     pool = fragment.down[m] & ~f_mask
-    target = 1 << m
     if pool.bit_count() < 2:
         return None
-    if fragment.common_h2_above(pool) != target:
+    if fragment.common_h2_above(pool) != 1 << m:
         return None
-    idxs = list(bits_of(pool))
-    for size in range(2, min(size_cap, len(idxs)) + 1):
-        for combo in combinations(idxs, size):
-            acc = fragment.all_h2_mask
-            for i in combo:
-                acc &= fragment.up[i]
-            if acc == target:
-                return mask_of(combo)
-    return None
+    return next(fragment.unique_point_sets(m, pool, size_cap), None)
 
 
 def survey_j3(fragment: PosetFragment, size_cap: int = 4) -> ConditionReport:
@@ -184,13 +173,8 @@ def find_special_t(fragment: PosetFragment, s_mask: int, t_mask: int
     """
     if not s_mask or not t_mask:
         raise ValueError("S and T must be nonempty")
-    direct = None
-    for t in range(fragment.n1):
-        if s_mask >> t & 1:
-            continue
-        if t_mask & ~fragment.up[t] == 0:
-            direct = t
-            break
+    outside = fragment.common_h1_below(t_mask) & ~s_mask
+    direct = (outside & -outside).bit_length() - 1 if outside else None
     recipe = None
     for v in range(fragment.n2):
         if fragment.down[v] & s_mask:
@@ -223,16 +207,16 @@ class BatteryReport:
                 "j3_failures": list(self.j3_failures)}
 
 
-def _cover_upto(edges: list[tuple[int, int]], budget: int
-                ) -> Optional[list[int]]:
-    """A vertex set of size <= budget meeting every edge, if one exists."""
+def _cover_upto(edges: list[int], budget: int) -> Optional[list[int]]:
+    """A vertex set of size <= budget meeting every edge (a two-curve mask),
+    if one exists."""
     if not edges:
         return []
     if budget == 0:
         return None
-    u, v = edges[0]
-    for w in (u, v):
-        rest = [e for e in edges if w not in e]
+    for w in bits_of(edges[0]):
+        bit = 1 << w
+        rest = [e for e in edges if not e & bit]
         sub = _cover_upto(rest, budget - 1)
         if sub is not None:
             return [w] + sub
@@ -259,10 +243,7 @@ def witness_battery(fragment: PosetFragment, k: int = 2, fmax: int = 2,
         reasons.append(f"J4 fails at tmax={j4_tmax}: {j4.witnesses}")
     j3_failures = []
     for m in range(fragment.n2):
-        idxs = list(bits_of(fragment.down[m]))
-        target = 1 << m
-        edges = [(i, j) for i, j in combinations(idxs, 2)
-                 if fragment.up[i] & fragment.up[j] == target]
+        edges = list(fragment.unique_point_sets(m, fragment.down[m], 2))
         if not edges:
             j3_failures.append({"m": fragment.h2_labels[m],
                                 "killing_F": None,

@@ -253,6 +253,9 @@ def affine_plane_fragment(p: int, d: int) -> PosetFragment:
                 curves.append((f, zeros))
 
     n1, n2 = len(curves), len(points)
+    if n1 > HARD_MAX_TIER:
+        raise ValueError(f"p={p}, d={d} gives {n1} curves, more than the "
+                         f"tier cap {HARD_MAX_TIER}")
     point_index = {pt: j for j, pt in enumerate(points)}
     pairs = [(i, point_index[pt])
              for i, (_, zeros) in enumerate(curves) for pt in zeros]
@@ -288,6 +291,11 @@ def fragment_to_json(fragment: PosetFragment) -> dict:
                        "h2": list(fragment.h2_labels)}}
 
 
+def _is_int(value: object) -> bool:
+    """JSON integers only: booleans are ints to Python but not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def fragment_from_json(obj: object,
                        max_size: Optional[int] = None) -> PosetFragment:
     if not isinstance(obj, dict):
@@ -295,7 +303,7 @@ def fragment_from_json(obj: object,
     if obj.get("version") != 1:
         raise FragmentFormatError(f"unsupported version {obj.get('version')!r}")
     n1, n2 = obj.get("n1"), obj.get("n2")
-    if not isinstance(n1, int) or not isinstance(n2, int):
+    if not _is_int(n1) or not _is_int(n2):
         raise FragmentFormatError("n1 and n2 must be integers")
     raw = obj.get("incidence")
     if not isinstance(raw, list):
@@ -304,7 +312,7 @@ def fragment_from_json(obj: object,
     pairs = []
     for k, entry in enumerate(raw):
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(v, int) for v in entry)):
+                or not all(_is_int(v) for v in entry)):
             raise FragmentFormatError(
                 f"incidence[{k}]: expected a pair of integers, got {entry!r}")
         i, j = entry

@@ -14,13 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from .core import IsoMap, PosetFragment, bits_of, mask_of, relabel
 from .structure import (StrNode, enumerate_fiber, ray_node, str_leq,
                         str_member)
-
-Mapping = Union[dict, Callable[[StrNode], StrNode]]
 
 
 @dataclass(slots=True)
@@ -82,14 +80,13 @@ def enumerate_domain(fragment: PosetFragment, spec: DomainSpec
 class StrIso:
     """Bijection between enumerated node universes of two pair orders.
 
-    ``forward`` and ``inverse`` may be tables or callables; the domain and
-    codomain lists make the enumerated universes explicit either way.
-    ``probes`` counts lookups so consumers can report how much of the map
-    they touched.
+    ``forward`` and ``inverse`` are lookup tables; the domain and codomain
+    lists make the enumerated universes explicit.  ``probes`` counts lookups
+    so consumers can report how much of the map they touched.
     """
 
     def __init__(self, fragment_x: PosetFragment, fragment_y: PosetFragment,
-                 forward: Mapping, inverse: Mapping,
+                 forward: dict, inverse: dict,
                  domain: list[StrNode], codomain: list[StrNode]):
         self.fragment_x = fragment_x
         self.fragment_y = fragment_y
@@ -108,14 +105,10 @@ class StrIso:
 
     def map(self, node: StrNode) -> StrNode:
         self.probes += 1
-        if callable(self._forward):
-            return self._forward(node)
         return self._forward[node]
 
     def unmap(self, node: StrNode) -> StrNode:
         self.probes += 1
-        if callable(self._inverse):
-            return self._inverse(node)
         return self._inverse[node]
 
     def reset_probes(self) -> None:
@@ -169,11 +162,8 @@ class StrIso:
         return problems
 
     def to_json(self) -> dict:
-        if callable(self._forward):
-            pairs = [[n.to_json(), self.map(n).to_json()] for n in self.domain]
-        else:
-            pairs = [[n.to_json(), self._forward[n].to_json()]
-                     for n in self.domain]
+        pairs = [[n.to_json(), self._forward[n].to_json()]
+                 for n in self.domain]
         return {"version": 1, "pairs": pairs}
 
     @classmethod
@@ -269,18 +259,9 @@ def k_sets(fragment: PosetFragment, x: int, size_cap: int = 3
     point then size then lexicographic K."""
     if not 0 <= x < fragment.n1:
         raise ValueError(f"h1 index {x} out of range")
-    out = []
-    for b in bits_of(fragment.up[x]):
-        target = 1 << b
-        others = [i for i in bits_of(fragment.down[b]) if i != x]
-        for size in range(2, min(size_cap, len(others) + 1) + 1):
-            for combo in combinations(others, size - 1):
-                acc = fragment.up[x]
-                for i in combo:
-                    acc &= fragment.up[i]
-                if acc == target:
-                    out.append(StrNode(mask_of(combo) | 1 << x, target))
-    return out
+    return [StrNode(k, 1 << b) for b in bits_of(fragment.up[x])
+            for k in fragment.unique_point_sets(b, fragment.down[b],
+                                                size_cap, base=1 << x)]
 
 
 def rho1_from_psi(psi: StrIso, size_cap: int = 3

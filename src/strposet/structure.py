@@ -93,11 +93,7 @@ def str_member(fragment: PosetFragment, node: NodeLike) -> bool:
     _check_masks(fragment, a_mask, b_mask)
     if not a_mask or not b_mask:
         return False
-    up = fragment.up
-    for i in bits_of(a_mask):
-        if b_mask & ~up[i] == 0:
-            return True
-    return False
+    return bool(a_mask & fragment.common_h1_below(b_mask))
 
 
 def require_member(fragment: PosetFragment, node: NodeLike) -> tuple[int, int]:
@@ -110,12 +106,18 @@ def require_member(fragment: PosetFragment, node: NodeLike) -> tuple[int, int]:
 def w_max(fragment: PosetFragment, c_mask: int, d_mask: int) -> int:
     """All curves of C below every point of D: the canonical witness set."""
     _check_masks(fragment, c_mask, d_mask)
+    return c_mask & fragment.common_h1_below(d_mask)
+
+
+def _breaks_witness(fragment: PosetFragment, a: int, w: int, d: int) -> bool:
+    """Whether some curve of A shares a point outside D with every curve of
+    the witness set W (the failure of E3)."""
+    outside = fragment.common_h2_above(w) & ~d
     up = fragment.up
-    out = 0
-    for i in bits_of(c_mask):
-        if d_mask & ~up[i] == 0:
-            out |= 1 << i
-    return out
+    for i in bits_of(a):
+        if up[i] & outside:
+            return True
+    return False
 
 
 def dominates_via(fragment: PosetFragment, upper: NodeLike, lower: NodeLike,
@@ -127,18 +129,10 @@ def dominates_via(fragment: PosetFragment, upper: NodeLike, lower: NodeLike,
     if a & ~c or a == c or d & ~b:
         return False
     # E2: nonempty witness inside C, below all of D.
-    if not witness_mask or witness_mask & ~c:
+    if not witness_mask or witness_mask & ~(c & fragment.common_h1_below(d)):
         return False
-    up = fragment.up
-    for i in bits_of(witness_mask):
-        if d & ~up[i]:
-            return False
     # E3: points above the witness set and any curve of A stay inside D.
-    common = fragment.common_h2_above(witness_mask)
-    for i in bits_of(a):
-        if up[i] & common & ~d:
-            return False
-    return True
+    return not _breaks_witness(fragment, a, witness_mask, d)
 
 
 def _leq_masks(fragment: PosetFragment, a: int, b: int, c: int, d: int) -> bool:
@@ -147,20 +141,8 @@ def _leq_masks(fragment: PosetFragment, a: int, b: int, c: int, d: int) -> bool:
         return True
     if a & ~c or a == c or d & ~b:
         return False
-    up = fragment.up
-    w = 0
-    for i in bits_of(c):
-        if d & ~up[i] == 0:
-            w |= 1 << i
-    if not w:
-        return False
-    common = fragment.all_h2_mask
-    for i in bits_of(w):
-        common &= up[i]
-    for i in bits_of(a):
-        if up[i] & common & ~d:
-            return False
-    return True
+    w = c & fragment.common_h1_below(d)
+    return bool(w) and not _breaks_witness(fragment, a, w, d)
 
 
 def _same_node(lower: NodeLike, upper: NodeLike) -> bool:
@@ -232,6 +214,12 @@ def eta(fragment: PosetFragment, node: NodeLike) -> int:
     return a.bit_count() - w_max(fragment, a, b).bit_count()
 
 
+def _is_mub(fragment: PosetFragment, k: int, b: int) -> bool:
+    """B = mub K for a curve set K: at least two curves, and their common
+    upper set is exactly B."""
+    return k.bit_count() >= 2 and fragment.common_h2_above(k) == b
+
+
 def fiber_height_positive(fragment: PosetFragment, node: NodeLike) -> bool:
     """True iff B is the minimal upper bound set of some K inside A.
 
@@ -242,10 +230,7 @@ def fiber_height_positive(fragment: PosetFragment, node: NodeLike) -> bool:
     a, b = require_member(fragment, node)
     if a.bit_count() > ENUM_CAP:
         raise ValueError(f"first ordinate larger than {ENUM_CAP}")
-    w = w_max(fragment, a, b)
-    if w.bit_count() < 2:
-        return False
-    return fragment.common_h2_above(w) == b
+    return _is_mub(fragment, w_max(fragment, a, b), b)
 
 
 def has_strictly_smaller(fragment: PosetFragment, node: NodeLike) -> bool:
@@ -432,15 +417,14 @@ def parity_mub_check(fragment: PosetFragment, node: NodeLike) -> bool:
     a, b = require_member(fragment, node)
     if not has_strictly_smaller(fragment, (a, b)):
         raise ValueError("parity check needs a positive-height node")
-    is_mub = a.bit_count() >= 2 and fragment.common_h2_above(a) == b
     odd = len(down_set_in_fiber(fragment, (a, b))) % 2 == 1
-    return is_mub == odd
+    return _is_mub(fragment, a, b) == odd
 
 
 def detect_I2(fragment: PosetFragment, node: NodeLike) -> bool:
     """Down set shaped like two points under one top: |A| = 2 and B = mub A."""
     a, b = require_member(fragment, node)
-    return a.bit_count() == 2 and fragment.common_h2_above(a) == b
+    return a.bit_count() == 2 and _is_mub(fragment, a, b)
 
 
 def mu_statistic(fragment: PosetFragment, x: int, m: int, amax: int = 4
@@ -462,29 +446,19 @@ def mu_statistic(fragment: PosetFragment, x: int, m: int, amax: int = 4
         raise ValueError(f"h2 index {m} out of range")
     if amax < 2:
         raise ValueError("amax must be at least 2")
-    target = 1 << m
-    ge4 = not any(y != x and fragment.up[x] & fragment.up[y] == target
+    ge4 = not any(y != x and fragment.up[x] & fragment.up[y] == 1 << m
                   for y in range(fragment.n1))
-    pool = list(bits_of(fragment.down[m]))
-    x_below = bool(fragment.down[m] >> x & 1)
-    if x_below:
-        rest = [i for i in pool if i != x]
-        for size in range(2, amax + 1):
-            for combo in combinations(rest, size - 1):
-                acc = fragment.up[x]
-                for i in combo:
-                    acc &= fragment.up[i]
-                if acc == target:
-                    return 2 ** size - 1, ge4
+    pool = fragment.down[m]
+    if pool >> x & 1:
+        sets = fragment.unique_point_sets(m, pool, amax, base=1 << x)
+        junk = 0
+    else:
+        sets = fragment.unique_point_sets(m, pool, amax - 1)
+        junk = 1
+    k = next(sets, None)
+    if k is None:
         return math.inf, ge4
-    for size in range(2, amax):
-        for combo in combinations(pool, size):
-            acc = fragment.all_h2_mask
-            for i in combo:
-                acc &= fragment.up[i]
-            if acc == target:
-                return (2 ** size - 1) * 2, ge4
-    return math.inf, ge4
+    return (2 ** k.bit_count() - 1) * 2 ** junk, ge4
 
 
 def join_above(fragment: PosetFragment, first: NodeLike, second: NodeLike,

@@ -99,6 +99,21 @@ def brute_j3(fragment: PosetFragment, m: int, f_mask: int, cap: int):
     return None
 
 
+def brute_k_sets(fragment: PosetFragment, x: int, cap: int):
+    """Literal K-sets of x: every (K, {b}) with x in K, |K| <= cap and
+    mub(K) = {b} by the element-level mub, ordered by point, then size,
+    then lexicographic K."""
+    out = []
+    for b in range(fragment.n2):
+        target = frozenset({h2(b)})
+        for size in range(1, cap + 1):
+            for combo in combinations(range(fragment.n1), size):
+                if (x in combo
+                        and fragment.mub([h1(i) for i in combo]) == target):
+                    out.append(finite_node(mask_of(combo), 1 << b))
+    return out
+
+
 def eval_poly_label(label: str, a: int, b: int, p: int) -> int:
     """Evaluate a printed polynomial like '1+x*y+x^2' at (a, b) mod p.
 

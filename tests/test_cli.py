@@ -357,6 +357,28 @@ def test_output_file_matches_stdout(capsys, files):
         assert fh.read() == out
 
 
+@pytest.mark.parametrize("argv", [
+    ["mu", "{ag21}", "--x", "x", "--m", "pt00", "--amax", "1"],
+    ["roundtrip", "{one_point}", "--corrupt", "--allow-weak-battery"],
+    ["roundtrip", "{bare_curve}", "--with-rays", "--allow-weak-battery"],
+    ["reconstruct", "{ag21}", "{ag21}", "--map", "{curve7_map}"],
+])
+def test_library_value_errors_exit_3(capsys, files, tmp_path, argv):
+    save_fragment(PosetFragment(2, 1, [(0, 0), (1, 0)]),
+                  tmp_path / "one_point.json")
+    save_fragment(PosetFragment(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+                  tmp_path / "bare_curve.json")
+    node = {"a": [7], "b": [0], "ray": None}
+    with open(tmp_path / "curve7_map.json", "w", encoding="utf-8") as fh:
+        json.dump({"version": 1, "pairs": [[node, node]]}, fh)
+    paths = {name: str(tmp_path / f"{name}.json")
+             for name in ("one_point", "bare_curve", "curve7_map")}
+    code, out, err = run(capsys, *[a.format(ag21=files["ag21"], **paths)
+                                   for a in argv])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_usage_errors_exit_2(capsys, files):
     for argv in ([], ["frobnicate"], ["fiber", files["f0"]]):
         with pytest.raises(SystemExit) as err:

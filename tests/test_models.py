@@ -130,7 +130,8 @@ def test_affine_rejects_bad_inputs():
         affine_plane_fragment(4, 1)
     with pytest.raises(ValueError, match="d must be in"):
         affine_plane_fragment(3, 4)
-    with pytest.raises(ValueError, match="max_size"):
+    with pytest.raises(ValueError, match="3380 curves, more than the tier "
+                                         "cap 512"):
         affine_plane_fragment(5, 2)   # curve count blows the tier cap
 
 
@@ -172,11 +173,16 @@ def test_dumps_is_stable():
     (lambda o: [], "top level must be an object"),
     (lambda o: {**o, "version": 2}, "unsupported version 2"),
     (lambda o: {**o, "n1": "3"}, "n1 and n2 must be integers"),
+    pytest.param(lambda o: {**o, "n1": True}, "n1 and n2 must be integers",
+                 id="bool-n1"),
     (lambda o: {**o, "incidence": 5}, "incidence must be a list"),
     (lambda o: {**o, "incidence": [[0, 0], [1]]},
      r"incidence\[1\]: expected a pair of integers"),
     (lambda o: {**o, "incidence": [[0, 0], [0, "1"]]},
      r"incidence\[1\]: expected a pair of integers"),
+    pytest.param(lambda o: {**o, "incidence": [[0, 0], [True, 0]]},
+                 r"incidence\[1\]: expected a pair of integers",
+                 id="bool-incidence-entry"),
     (lambda o: {**o, "incidence": [[0, 0], [3, 0]]},
      r"incidence\[1\]: h1 index 3 out of range \(n1=3\)"),
     (lambda o: {**o, "incidence": [[0, 0], [0, 9]]},

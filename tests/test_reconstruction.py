@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strposet import (DomainSpec, GeneratorParams, IsoMap, PosetFragment,
                       ReconstructionError, StrIso, StrNode, affine_plane_fragment,
@@ -7,6 +9,9 @@ from strposet import (DomainSpec, GeneratorParams, IsoMap, PosetFragment,
                       induce_str_iso, k_sets, random_fragment, ray_node,
                       relabel, rho1_from_psi, rho1_from_rays, rho2_from_phi,
                       round_trip, verify_factorization)
+
+from conftest import fragments
+from helpers import brute_k_sets
 
 
 def identity_iso(frag):
@@ -164,6 +169,15 @@ def test_k_sets_are_k_sets(f3, planted3):
                 assert node.a_mask >> x & 1
                 assert node.b_mask.bit_count() == 1
                 assert frag.common_h2_above(node.a_mask) == node.b_mask
+
+
+@given(fragments(max_n1=5, max_n2=3), st.integers(0, 4))
+@settings(max_examples=60)
+def test_k_sets_against_literal_enumeration(frag, x):
+    if x >= frag.n1:
+        return
+    for cap in (2, 3):
+        assert k_sets(frag, x, cap) == brute_k_sets(frag, x, cap)
 
 
 def test_rho1_ambiguity_on_symmetric_curves(f0):
