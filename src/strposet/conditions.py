@@ -74,13 +74,21 @@ def check_p1_to_p4(fragment: PosetFragment, k: int = 2
     return reports
 
 
+def _check_window(fragment: PosetFragment, s_mask: int, t_mask: int) -> None:
+    if not s_mask or not t_mask:
+        raise ValueError("S and T must be nonempty")
+    if s_mask & ~fragment.all_h1_mask:
+        raise ValueError("S is not an h1 mask of this fragment")
+    if t_mask & ~fragment.all_h2_mask:
+        raise ValueError("T is not an h2 mask of this fragment")
+
+
 def find_p5_witness(fragment: PosetFragment, s_mask: int, t_mask: int
                     ) -> Optional[int]:
     """First height-one w below all of T such that every point above both w
     and some member of S lies in T.  None when the window has no witness.
     """
-    if not s_mask or not t_mask:
-        raise ValueError("S and T must be nonempty")
+    _check_window(fragment, s_mask, t_mask)
     for w in bits_of(fragment.common_h1_below(t_mask)):
         upw = fragment.up[w]
         if all((fragment.up[s] & upw & ~t_mask) == 0 for s in bits_of(s_mask)):
@@ -171,8 +179,7 @@ def find_special_t(fragment: PosetFragment, s_mask: int, t_mask: int
     point v above nothing in S, then solve below T plus v); if both succeed
     each result is checked against the other's requirements.
     """
-    if not s_mask or not t_mask:
-        raise ValueError("S and T must be nonempty")
+    _check_window(fragment, s_mask, t_mask)
     outside = fragment.common_h1_below(t_mask) & ~s_mask
     direct = (outside & -outside).bit_length() - 1 if outside else None
     recipe = None

@@ -177,33 +177,24 @@ class PosetFragment:
     def h1_below(self, j: int) -> int:
         return self.down[j]
 
-    # The two identities below sit under every order and membership test,
-    # so they walk the bits inline instead of going through bits_of.
-
     def common_h2_above(self, h1_mask: int) -> int:
         """Points above every curve in the mask (all points for the empty mask)."""
-        acc = (1 << self.n2) - 1
-        up = self.up
-        while h1_mask:
-            low = h1_mask & -h1_mask
-            acc &= up[low.bit_length() - 1]
-            h1_mask ^= low
+        acc = self.all_h2_mask
+        for i in bits_of(h1_mask):
+            acc &= self.up[i]
         return acc
 
     def common_h1_below(self, h2_mask: int) -> int:
         """Curves below every point in the mask (all curves for the empty mask)."""
-        acc = (1 << self.n1) - 1
-        down = self.down
-        while h2_mask:
-            low = h2_mask & -h2_mask
-            acc &= down[low.bit_length() - 1]
-            h2_mask ^= low
+        acc = self.all_h1_mask
+        for j in bits_of(h2_mask):
+            acc &= self.down[j]
         return acc
 
     def unique_point_sets(self, m: int, pool: int, max_size: int,
-                          base: int = 0, min_size: int = 2) -> Iterator[int]:
-        """Every K = base + S with S inside pool \\ base, min_size <= |K| <=
-        max_size and common upper set exactly {m}, as h1 masks.
+                          base: int = 0) -> Iterator[int]:
+        """Every K = base + S with S a nonempty subset of pool \\ base,
+        2 <= |K| <= max_size and common upper set exactly {m}, as h1 masks.
 
         Yields by size, then lexicographically in S: the order
         ``itertools.combinations`` gives over the ascending pool.  Each
@@ -216,10 +207,6 @@ class PosetFragment:
         n = len(idxs)
 
         def grow(acc: int, lo: int, need: int, chosen: int) -> Iterator[int]:
-            if need == 0:
-                if acc == target:
-                    yield chosen
-                return
             if need == 1:
                 for j in range(lo, n):
                     if acc & ups[j] == target:
@@ -231,8 +218,7 @@ class PosetFragment:
 
         nbase = base.bit_count()
         start = self.common_h2_above(base)
-        for size in range(max(min_size - nbase, 0),
-                          min(max_size - nbase, n) + 1):
+        for size in range(max(2 - nbase, 1), min(max_size - nbase, n) + 1):
             yield from grow(start, 0, size, base)
 
     # -- elements and order -----------------------------------------------

@@ -35,6 +35,11 @@ def test_p5_witness_contract(f0):
     assert f0.up[w] & 0b11 == 0b11
     for s in (2,):
         assert f0.up[s] & f0.up[w] & ~0b11 == 0
+    # masks reaching past the fragment, or negative, are refused
+    for s_mask, t_mask in ((0b1000, 0b01), (-1, 0b01), (0b001, 0b100),
+                           (0b001, -2)):
+        with pytest.raises(ValueError):
+            find_p5_witness(f0, s_mask, t_mask)
 
 
 def test_p5_survey_cusp(f3):
@@ -134,8 +139,9 @@ def test_find_special_t_frozen(f0):
     assert find_special_t(f0, 0b011, 0b01) == 2   # S={a,b}, T={d} -> c
     assert find_special_t(f0, 0b111, 0b01) is None
     assert find_special_t(f0, 0b100, 0b10) in (0, 1)
-    with pytest.raises(ValueError):
-        find_special_t(f0, 0, 0b1)
+    for s_mask, t_mask in ((0, 0b1), (0b1000, 0b01), (0b001, 0b100)):
+        with pytest.raises(ValueError):
+            find_special_t(f0, s_mask, t_mask)
 
 
 @given(fragments(max_n1=5, max_n2=3), st.integers(1, 31), st.integers(1, 7))
