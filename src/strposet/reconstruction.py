@@ -23,14 +23,29 @@ from .structure import (StrNode, enumerate_fiber, ray_node, str_leq,
 
 @dataclass(slots=True)
 class ReconstructionTrace:
+    """What each map entry rests on.  A ``rho1_table`` entry keeps its
+    ``evidence`` as (node, image) StrNode pairs; ``to_json`` spells them out,
+    so runs that never emit the trace never format it."""
+
     rho2_table: dict = field(default_factory=dict)
     rho1_table: dict = field(default_factory=dict)
     conflicts: list = field(default_factory=list)
 
     def to_json(self) -> dict:
+        spelled: dict = {}      # a node recurring in evidence shares one dict
+
+        def spell(node: StrNode) -> dict:
+            out = spelled.get(node)
+            if out is None:
+                out = spelled[node] = node.to_json()
+            return out
+
         return {"version": 1,
                 "rho2": {str(k): v for k, v in self.rho2_table.items()},
-                "rho1": {str(k): v for k, v in self.rho1_table.items()},
+                "rho1": {str(k): {**v, "evidence": [
+                    {"node": spell(node), "image": spell(img)}
+                    for node, img in v["evidence"]]}
+                    for k, v in self.rho1_table.items()},
                 "conflicts": list(self.conflicts)}
 
 
@@ -77,6 +92,39 @@ def enumerate_domain(fragment: PosetFragment, spec: DomainSpec
     return list(dict.fromkeys(nodes))
 
 
+def _is_member(fragment: PosetFragment, node: StrNode) -> bool:
+    """Membership that reads ordinates outside the fragment as a plain no."""
+    try:
+        return str_member(fragment, node.masks())
+    except ValueError:
+        return False
+
+
+def _nesting_pairs(masks: list[int]) -> set[tuple[int, int]]:
+    """Positions (i, j) with masks[i] a proper nonempty subset of masks[j].
+
+    Each mask walks its proper subsets through an index from mask to
+    positions, unless it has more subsets than there are distinct masks;
+    then it scans those instead.  Masks must be nonnegative."""
+    positions: dict[int, list[int]] = {}
+    for i, mask in enumerate(masks):
+        positions.setdefault(mask, []).append(i)
+    pairs = set()
+    for j, mask in enumerate(masks):
+        if 1 << mask.bit_count() > len(positions):
+            subs = [s for s in positions if s and s != mask and not s & ~mask]
+        else:
+            subs = []
+            sub = (mask - 1) & mask
+            while sub:
+                subs.append(sub)
+                sub = (sub - 1) & mask
+        for sub in subs:
+            for i in positions.get(sub, ()):
+                pairs.add((i, j))
+    return pairs
+
+
 class StrIso:
     """Bijection between enumerated node universes of two pair orders.
 
@@ -115,20 +163,29 @@ class StrIso:
         self.probes = 0
 
     def validate(self, order_check: bool = True) -> list[str]:
-        """Invariant audit: bijection between the universes, images are
-        member pairs, and the order agrees in both directions on every
-        domain pair where either side's second ordinates even allow a
-        comparison."""
+        """Invariant audit: domain nodes and their images are member pairs,
+        the tables are inverse bijections between the universes, and the
+        order agrees in both directions.
+
+        Distinct nodes compare only when the lower first ordinate is a
+        proper subset of the upper one, so the order is tested just on the
+        domain pairs (i, j) that nest that way on either side, in index
+        order, and the report stops after 21 mismatches.  With first
+        ordinates of at most k curves that is about len(domain) * 2^k pairs.
+        """
         problems = []
         if len(set(self.domain)) != len(self.domain):
             problems.append("domain has repeated nodes")
         if len(set(self.codomain)) != len(self.codomain):
             problems.append("codomain has repeated nodes")
+        fx, fy = self.fragment_x, self.fragment_y
         images = []
         for node in self.domain:
+            if not _is_member(fx, node):
+                problems.append(f"domain node {node} is not a member pair")
             img = self.map(node)
             images.append(img)
-            if not str_member(self.fragment_y, img.masks()):
+            if not _is_member(fy, img):
                 problems.append(f"image of {node} is not a member pair")
             back = self.unmap(img)
             if back != node:
@@ -140,25 +197,23 @@ class StrIso:
                 problems.append(f"map(inverse({img})) != {img}")
         if problems or not order_check:
             return problems
-        fx, fy = self.fragment_x, self.fragment_y
-        pairs = list(zip(self.domain, images))
-        for i, (u, fu) in enumerate(pairs):
-            for j, (v, fv) in enumerate(pairs):
-                if i == j:
-                    continue
-                # u <= v needs v's points within u's; same on the image side.
-                x_possible = v.b_mask & ~u.b_mask == 0
-                y_possible = fv.b_mask & ~fu.b_mask == 0
-                if not (x_possible or y_possible):
-                    continue
-                lx = x_possible and str_leq(fx, u, v)
-                ly = y_possible and str_leq(fy, fu, fv)
-                if lx != ly:
-                    problems.append(
-                        f"order mismatch: {u} <= {v} is {lx} "
-                        f"but image comparison gives {ly}")
-                    if len(problems) > 20:
-                        return problems
+        candidates = (_nesting_pairs([u.a_mask for u in self.domain])
+                      | _nesting_pairs([fu.a_mask for fu in images]))
+        for i, j in sorted(candidates):
+            u, v, fu, fv = self.domain[i], self.domain[j], images[i], images[j]
+            # u <= v needs v's points within u's; same on the image side.
+            x_possible = v.b_mask & ~u.b_mask == 0
+            y_possible = fv.b_mask & ~fu.b_mask == 0
+            if not (x_possible or y_possible):
+                continue
+            lx = x_possible and str_leq(fx, u, v)
+            ly = y_possible and str_leq(fy, fu, fv)
+            if lx != ly:
+                problems.append(
+                    f"order mismatch: {u} <= {v} is {lx} "
+                    f"but image comparison gives {ly}")
+                if len(problems) > 20:
+                    return problems
         return problems
 
     def to_json(self) -> dict:
@@ -171,8 +226,12 @@ class StrIso:
                   obj: dict) -> "StrIso":
         if not isinstance(obj, dict) or obj.get("version") != 1:
             raise ValueError("unsupported map file")
+        pairs = obj["pairs"]
+        if not (isinstance(pairs, list)
+                and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+            raise ValueError("pairs must be a list of [node, image] lists")
         table = {StrNode.from_json(a): StrNode.from_json(b)
-                 for a, b in obj["pairs"]}
+                 for a, b in pairs}
         return cls.from_table(fragment_x, fragment_y, table)
 
 
@@ -288,7 +347,7 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3
         inter = fy.all_h1_mask
         for node in nodes:
             img = psi.map(node)
-            evidence.append({"node": node.to_json(), "image": img.to_json()})
+            evidence.append((node, img))
             if (img.b_mask.bit_count() != 1
                     or img.a_mask.bit_count() < 2
                     or fy.common_h2_above(img.a_mask) != img.b_mask):
@@ -328,8 +387,7 @@ def rho1_from_rays(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
             continue
         rho1[x] = img.ray_of
         trace.rho1_table[x] = {"image": img.ray_of,
-                               "evidence": [{"node": ray.to_json(),
-                                             "image": img.to_json()}]}
+                               "evidence": [(ray, img)]}
     return rho1, trace
 
 

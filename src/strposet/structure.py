@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .conditions import find_j3_witness
-from .core import PosetFragment, SmallPoset, bits_of, mask_of
+from .core import HARD_MAX_TIER, PosetFragment, SmallPoset, bits_of, mask_of
 
 BRUTE_CAP = 16
 ENUM_CAP = 16
@@ -56,7 +56,31 @@ class StrNode:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StrNode":
-        return cls(mask_of(obj["a"]), mask_of(obj["b"]), obj.get("ray"))
+        """Ordinates are lists of indices below ``HARD_MAX_TIER`` and ``ray``
+        is such an index or null; anything else raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"node is not an object: {obj!r}")
+        ray = obj.get("ray")
+        if ray is not None and (type(ray) is not int
+                                or not 0 <= ray < HARD_MAX_TIER):
+            raise ValueError(f"node ray is not an index or null: {ray!r}")
+        return cls(_index_mask(obj, "a"), _index_mask(obj, "b"), ray)
+
+
+def _index_mask(obj: dict, key: str) -> int:
+    """``mask_of(obj[key])`` for a list of indices below HARD_MAX_TIER;
+    ValueError for anything else (``type`` keeps booleans out)."""
+    value = obj[key]
+    if type(value) is list:
+        mask = 0
+        for i in value:
+            if type(i) is not int or not 0 <= i < HARD_MAX_TIER:
+                break
+            mask |= 1 << i
+        else:
+            return mask
+    raise ValueError(f"node ordinate {key!r} is not a list of indices "
+                     f"below {HARD_MAX_TIER}: {value!r}")
 
 
 def finite_node(a_mask: int, b_mask: int) -> StrNode:

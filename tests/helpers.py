@@ -8,7 +8,7 @@ so the two implementations check each other.
 from itertools import combinations
 
 from strposet import (PosetFragment, bits_of, finite_node, h1, h2, mask_of,
-                      str_leq_bruteforce, str_member)
+                      str_leq, str_leq_bruteforce, str_member)
 
 
 def make_f0() -> PosetFragment:
@@ -112,6 +112,53 @@ def brute_k_sets(fragment: PosetFragment, x: int, cap: int):
                         and fragment.mub([h1(i) for i in combo]) == target):
                     out.append(finite_node(mask_of(combo), 1 << b))
     return out
+
+
+def validate_all_pairs(phi, order_check: bool = True) -> list[str]:
+    """``StrIso.validate`` as it was before the nesting index: the same audit
+    with the order compared on every ordered pair of distinct domain nodes.
+    The library version must return the same list in the same order."""
+    problems = []
+    if len(set(phi.domain)) != len(phi.domain):
+        problems.append("domain has repeated nodes")
+    if len(set(phi.codomain)) != len(phi.codomain):
+        problems.append("codomain has repeated nodes")
+    images = []
+    for node in phi.domain:
+        img = phi.map(node)
+        images.append(img)
+        if not str_member(phi.fragment_y, img.masks()):
+            problems.append(f"image of {node} is not a member pair")
+        back = phi.unmap(img)
+        if back != node:
+            problems.append(f"inverse(map({node})) = {back}")
+    if set(images) != set(phi.codomain):
+        problems.append("forward image differs from the codomain")
+    for img in phi.codomain:
+        if phi.map(phi.unmap(img)) != img:
+            problems.append(f"map(inverse({img})) != {img}")
+    if problems or not order_check:
+        return problems
+    fx, fy = phi.fragment_x, phi.fragment_y
+    pairs = list(zip(phi.domain, images))
+    for i, (u, fu) in enumerate(pairs):
+        for j, (v, fv) in enumerate(pairs):
+            if i == j:
+                continue
+            # u <= v needs v's points within u's; same on the image side.
+            x_possible = v.b_mask & ~u.b_mask == 0
+            y_possible = fv.b_mask & ~fu.b_mask == 0
+            if not (x_possible or y_possible):
+                continue
+            lx = x_possible and str_leq(fx, u, v)
+            ly = y_possible and str_leq(fy, fu, fv)
+            if lx != ly:
+                problems.append(
+                    f"order mismatch: {u} <= {v} is {lx} "
+                    f"but image comparison gives {ly}")
+                if len(problems) > 20:
+                    return problems
+    return problems
 
 
 def eval_poly_label(label: str, a: int, b: int, p: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -236,6 +237,15 @@ def test_reconstruct_honest_map(capsys, files):
     assert data["trace"]["conflicts"] == []
 
 
+def test_reconstruct_output_bytes_frozen(capsys, files):
+    # the whole report, trace evidence included, byte for byte
+    code, out, err = run(capsys, "reconstruct", files["p3"], files["p3y"],
+                         "--map", files["map"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cca7ed8dc41f9405973ce175761c55880df9df1ebb4690e908d439c7047674d1")
+
+
 def test_reconstruct_corrupt_map(capsys, files):
     code, data = run_json(capsys, "reconstruct", files["p3"], files["p3y"],
                           "--map", files["map_bad"])
@@ -362,6 +372,11 @@ def test_output_file_matches_stdout(capsys, files):
     ["roundtrip", "{one_point}", "--corrupt", "--allow-weak-battery"],
     ["roundtrip", "{bare_curve}", "--with-rays", "--allow-weak-battery"],
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{curve7_map}"],
+    ["reconstruct", "{ag21}", "{ag21}", "--map", "{string_map}"],
+    ["reconstruct", "{ag21}", "{ag21}", "--map", "{bool_map}"],
+    ["reconstruct", "{ag21}", "{ag21}", "--map", "{index512_map}"],
+    ["reconstruct", "{ag21}", "{ag21}", "--map", "{scalar_pairs_map}"],
+    ["reconstruct", "{ag21}", "{ag21}", "--map", "{curve7_domain_map}"],
 ])
 def test_library_value_errors_exit_3(capsys, files, tmp_path, argv):
     save_fragment(PosetFragment(2, 1, [(0, 0), (1, 0)]),
@@ -369,10 +384,18 @@ def test_library_value_errors_exit_3(capsys, files, tmp_path, argv):
     save_fragment(PosetFragment(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]),
                   tmp_path / "bare_curve.json")
     node = {"a": [7], "b": [0], "ray": None}
-    with open(tmp_path / "curve7_map.json", "w", encoding="utf-8") as fh:
-        json.dump({"version": 1, "pairs": [[node, node]]}, fh)
+    valid = {"a": [0], "b": [0], "ray": None}
+    maps = {"curve7_map": [[node, node]],
+            "string_map": [[{"a": "zz", "b": [0]}, valid]],
+            "bool_map": [[{"a": [True], "b": [0]}, valid]],
+            "index512_map": [[{"a": [512], "b": [0]}, valid]],
+            "scalar_pairs_map": [5],
+            "curve7_domain_map": [[node, valid]]}
+    for name, pairs in maps.items():
+        with open(tmp_path / f"{name}.json", "w", encoding="utf-8") as fh:
+            json.dump({"version": 1, "pairs": pairs}, fh)
     paths = {name: str(tmp_path / f"{name}.json")
-             for name in ("one_point", "bare_curve", "curve7_map")}
+             for name in ("one_point", "bare_curve", *maps)}
     code, out, err = run(capsys, *[a.format(ag21=files["ag21"], **paths)
                                    for a in argv])
     assert code == 3 and out == ""

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strposet import (DomainSpec, GeneratorParams, IsoMap, PosetFragment,
@@ -11,7 +13,7 @@ from strposet import (DomainSpec, GeneratorParams, IsoMap, PosetFragment,
                       round_trip, verify_factorization)
 
 from conftest import fragments
-from helpers import brute_k_sets
+from helpers import brute_k_sets, validate_all_pairs
 
 
 def identity_iso(frag):
@@ -94,6 +96,72 @@ def test_striso_validate_catches_order_damage(f0):
     phi = corrupt_str_iso(induce_str_iso(identity_iso(f0)), seed=0)
     assert phi.validate(order_check=False) == []
     assert any("order mismatch" in p for p in phi.validate())
+
+
+def test_striso_validate_reports_nonmember_domain_nodes(ag21):
+    image = finite_node(0b1, 0b1)            # (y | pt00)
+    outside = (finite_node(0b1, 0b10),       # y misses pt01
+               finite_node(0, 0b1),          # empty first ordinate
+               finite_node(1 << 7, 0b1),     # no curve 7 on ag(2,1)
+               finite_node(-1, 0b1))
+    for node in outside:
+        phi = StrIso.from_table(ag21, ag21, {node: image})
+        for order_check in (False, True):
+            assert phi.validate(order_check) == [
+                f"domain node {node} is not a member pair"]
+
+
+def shuffle_images(phi, seed):
+    """The same domain and codomain under a random bijection."""
+    images = [phi.map(n) for n in phi.domain]
+    random.Random(seed).shuffle(images)
+    return StrIso.from_table(phi.fragment_x, phi.fragment_y,
+                             dict(zip(phi.domain, images)))
+
+
+@given(fragments(max_n1=5, max_n2=3), st.integers(0, 10 ** 6),
+       st.integers(1, 3), st.booleans(),
+       st.sampled_from(["honest", "corrupt", "shuffled"]))
+@settings(max_examples=150, deadline=None)
+def test_validate_matches_all_pairs(frag, seed, k_cap, rays, damage):
+    # with rays, a curve through a single point gives a ray and a finite
+    # node with the same masks
+    assume(not rays or all(frag.up))
+    phi = induce_str_iso(relabel(frag, seed)[1],
+                         DomainSpec(k_cap=k_cap, include_rays=rays))
+    if damage == "corrupt":
+        try:
+            phi = corrupt_str_iso(phi, seed)
+        except ValueError:
+            assume(False)
+    elif damage == "shuffled":
+        phi = shuffle_images(phi, seed)
+    assert phi.validate() == validate_all_pairs(phi)
+
+
+def test_validate_cut_off_matches_all_pairs(planted3):
+    shuffled = shuffle_images(induce_str_iso(identity_iso(planted3)), 0)
+    problems = shuffled.validate()
+    assert len(problems) == 21
+    assert problems == validate_all_pairs(shuffled)
+
+
+def test_validate_wide_first_ordinate():
+    # 2^60 subsets under the upper node: the two distinct first ordinates
+    # are scanned instead
+    wide = PosetFragment(60, 1, [(i, 0) for i in range(60)])
+    nodes = [finite_node(1, 1), finite_node((1 << 60) - 1, 1)]
+    phi = StrIso.from_table(wide, wide, {n: n for n in nodes})
+    assert phi.validate() == []
+    swapped = StrIso.from_table(wide, wide, dict(zip(nodes, nodes[::-1])))
+    assert len(swapped.validate()) == 2
+
+
+def test_validate_affine_plane_3_2():
+    ag32 = affine_plane_fragment(3, 2)
+    phi = induce_str_iso(relabel(ag32, seed=1)[1], DomainSpec(k_cap=2))
+    assert len(phi.domain) == 28440
+    assert phi.validate() == []
 
 
 def test_corrupt_needs_two_fibers():
