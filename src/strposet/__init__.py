@@ -18,8 +18,8 @@ from .structure import (FiberView, StrNode, counting_formula, detect_I2,
                         str_leq, str_leq_bruteforce, str_member, w_max)
 from .models import (FragmentFormatError, GeneratorParams,
                      affine_plane_fragment, cusp_fragment, dumps_fragment,
-                     fragment_from_json, fragment_to_json, load_fragment,
-                     random_fragment, save_fragment)
+                     fragment_from_json, fragment_to_json, json_text,
+                     load_fragment, random_fragment, save_fragment)
 from .reconstruction import (DomainSpec, FactorizationReport,
                              ReconstructionError, ReconstructionTrace,
                              RoundTripResult, StrIso, build_rho,
@@ -46,7 +46,8 @@ __all__ = [
     "str_member", "w_max",
     "FragmentFormatError", "GeneratorParams", "affine_plane_fragment",
     "cusp_fragment", "dumps_fragment", "fragment_from_json",
-    "fragment_to_json", "load_fragment", "random_fragment", "save_fragment",
+    "fragment_to_json", "json_text", "load_fragment", "random_fragment",
+    "save_fragment",
     "DomainSpec", "FactorizationReport", "ReconstructionError",
     "ReconstructionTrace", "RoundTripResult", "StrIso", "build_rho",
     "corrupt_str_iso", "enumerate_domain", "extend_psi_to_phi",

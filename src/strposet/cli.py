@@ -22,7 +22,7 @@ from .conditions import (check_j1, check_j2, check_j4, check_p1_to_p4,
 from .core import PosetFragment, bits_of, validate
 from .models import (FragmentFormatError, GeneratorParams,
                      affine_plane_fragment, cusp_fragment, dumps_fragment,
-                     load_fragment, random_fragment)
+                     json_text, load_fragment, random_fragment)
 from .reconstruction import (ReconstructionError, StrIso, build_rho,
                              round_trip, verify_factorization)
 from .structure import (enumerate_fiber, finite_node, str_leq, str_member,
@@ -48,7 +48,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(obj: dict, out: Optional[str]) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out)
+    _emit(json_text(obj), out)
 
 
 def _load(path: str) -> PosetFragment:
@@ -248,7 +248,8 @@ def cmd_roundtrip(args) -> int:
                     "battery": battery.to_json()}, args.output)
         return EXIT_VIOLATION
     result = round_trip(fragment, args.seed, psi_only=not args.with_rays,
-                        k_cap=args.k_cap, corrupt=args.corrupt)
+                        k_cap=args.k_cap, corrupt=args.corrupt,
+                        battery=battery)
     _emit_json(result.to_json(), args.output)
     return EXIT_OK if result.recovered else EXIT_VIOLATION
 

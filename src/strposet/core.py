@@ -70,6 +70,17 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def mask_image(mask: int, table: Sequence[int]) -> int:
+    """Mask of ``table[i]`` over the set bits i of ``mask``: the image of a
+    tier subset under an index map, walked inline (no generators)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 @dataclass(slots=True)
 class ValidationReport:
     problems: list[str] = field(default_factory=list)
@@ -376,10 +387,10 @@ class IsoMap:
         return ElementId(Tier.H2, self.h2_map[x.index])
 
     def h1_mask_image(self, mask: int) -> int:
-        return mask_of(self.h1_map[i] for i in bits_of(mask))
+        return mask_image(mask, self.h1_map)
 
     def h2_mask_image(self, mask: int) -> int:
-        return mask_of(self.h2_map[j] for j in bits_of(mask))
+        return mask_image(mask, self.h2_map)
 
     def inverse(self) -> "IsoMap":
         inv1 = [0] * len(self.h1_map)

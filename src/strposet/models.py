@@ -8,6 +8,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Union
 
@@ -193,7 +194,9 @@ def affine_plane_fragment(p: int, d: int) -> PosetFragment:
 
     Curves are kept up to scalar (leading coefficient normalized to 1) and
     irreducibility is decided by exhaustive trial factorization, which the
-    small caps keep exact.  Incidence is polynomial evaluation.
+    small caps keep exact.  Incidence is polynomial evaluation.  More than
+    ``HARD_MAX_TIER`` curves is refused with ValueError, as soon as the
+    lower degrees alone exceed it.
     """
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"p must be one of {SUPPORTED_PRIMES}")
@@ -210,12 +213,6 @@ def affine_plane_fragment(p: int, d: int) -> PosetFragment:
         lead = max(k for k in range(nm) if f[k])
         return f[lead] == 1
 
-    by_degree: dict[int, list[tuple[int, ...]]] = {t: [] for t in range(1, d + 1)}
-    for f in product(range(p), repeat=nm):
-        t = degree(f)
-        if t >= 1 and normalized(f):
-            by_degree[t].append(f)
-
     def mult(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
         out = [0] * nm
         for k1, c1 in enumerate(f):
@@ -230,21 +227,33 @@ def affine_plane_fragment(p: int, d: int) -> PosetFragment:
                     out[index[(i1 + i2, j1 + j2)]] + c1 * c2) % p
         return tuple(out)
 
-    reducible: set[tuple[int, ...]] = set()
-    for t in range(2, d + 1):
-        for a in range(1, t // 2 + 1):
-            for g in by_degree[a]:
-                for h in by_degree[t - a]:
-                    reducible.add(mult(g, h))
-
     points = [(a, b) for a in range(p) for b in range(p)]
 
     def evaluate(f: tuple[int, ...], a: int, b: int) -> int:
         return sum(c * pow(a, i, p) * pow(b, j, p)
                    for (i, j), c in zip(monos, f) if c) % p
 
+    # Degree by degree: curves of degree below t stay curves under every
+    # larger cap, so too many of them refuse (p, d) before the
+    # p ** len(monos) coefficient vectors of the top degree are tried.
+    by_degree: dict[int, list[tuple[int, ...]]] = {}
     curves = []
     for t in range(1, d + 1):
+        if len(curves) > HARD_MAX_TIER:
+            raise ValueError(
+                f"p={p}, d={d} gives at least {len(curves)} curves (those of "
+                f"degree at most {t - 1}), more than the tier cap "
+                f"{HARD_MAX_TIER}")
+        # the monomials of degree <= t lead the graded order
+        width = len(_monomials(t))
+        pad = (0,) * (nm - width)
+        by_degree[t] = []
+        for g in product(range(p), repeat=width):
+            f = g + pad
+            if degree(f) == t and normalized(f):
+                by_degree[t].append(f)
+        reducible = {mult(g, h) for a in range(1, t // 2 + 1)
+                     for g in by_degree[a] for h in by_degree[t - a]}
         for f in by_degree[t]:
             if f in reducible:
                 continue
@@ -340,12 +349,65 @@ def fragment_from_json(obj: object,
         raise FragmentFormatError(str(exc)) from exc
 
 
+def json_text(obj: object) -> str:
+    """``json.dumps(obj, indent=2) + "\n"``, byte for byte: the layout of
+    every JSON document the package writes.
+
+    ``indent`` sends the stdlib to its pure-Python encoder, so dicts, lists
+    and tuples are laid out here, strings and ints are formatted by the C
+    escaper and ``int.__repr__``, and every other scalar or key type goes to
+    the stdlib.  Containers must not contain themselves.
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+_int_text = int.__repr__    # what the stdlib writes for ints and IntEnums
+
+
+def _json_value(value: object, pad: str) -> str:
+    """One value whose first line is already indented; ``pad`` is a newline
+    plus the indentation of that line.  Plain ints and str keys, most of
+    every document, are formatted inline rather than by a call."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_text(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return ("[" + inner + ("," + inner).join([
+            _int_text(v) if type(v) is int else _json_value(v, inner)
+            for v in value]) + pad + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return ("{" + inner + ("," + inner).join([
+            (encode_basestring_ascii(k) if type(k) is str else _json_key(k))
+            + ": " + _json_value(v, inner) for k, v in value.items()])
+            + pad + "}")
+    return json.dumps(value)
+
+
+def _json_key(key: object) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    return json.dumps({key: 0})[1:-4]     # '{"<key>": 0}' -> '"<key>"'
+
+
 def save_fragment(fragment: PosetFragment, path: Union[str, Path]) -> None:
     Path(path).write_text(dumps_fragment(fragment), encoding="utf-8")
 
 
 def dumps_fragment(fragment: PosetFragment) -> str:
-    return json.dumps(fragment_to_json(fragment), indent=2) + "\n"
+    return json_text(fragment_to_json(fragment))
 
 
 def load_fragment(path: Union[str, Path],

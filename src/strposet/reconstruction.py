@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
+from .conditions import BatteryReport, witness_battery
 from .core import IsoMap, PosetFragment, bits_of, mask_of, relabel
 from .structure import (StrNode, enumerate_fiber, ray_node, str_leq,
                         str_member)
@@ -335,7 +336,7 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3
     """
     trace = ReconstructionTrace()
     fx, fy = psi.fragment_x, psi.fragment_y
-    in_domain = set(psi.domain)
+    in_domain = psi._forward      # keyed by exactly the domain nodes
     rho1: dict[int, int] = {}
     for x in range(fx.n1):
         nodes = [n for n in k_sets(fx, x, size_cap) if n in in_domain]
@@ -372,11 +373,10 @@ def rho1_from_rays(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
     """Curve map read directly off ray images."""
     trace = ReconstructionTrace()
     fx = phi.fragment_x
-    in_domain = set(phi.domain)
     rho1: dict[int, int] = {}
     for x in range(fx.n1):
         ray = ray_node(fx, x)
-        if ray not in in_domain:
+        if ray not in phi._forward:
             raise ReconstructionError(
                 f"ray node for {fx.h1_labels[x]} not in the domain", trace)
         img = phi.map(ray)
@@ -494,15 +494,17 @@ class RoundTripResult:
 
 
 def round_trip(fragment: PosetFragment, seed: int, psi_only: bool = True,
-               k_cap: int = 3, corrupt: bool = False) -> RoundTripResult:
+               k_cap: int = 3, corrupt: bool = False,
+               battery: Optional[BatteryReport] = None) -> RoundTripResult:
     """Relabel with a hidden map, induce the node map, reconstruct, compare.
 
     ``recovered`` demands the exact hidden map back plus a clean
     factorization check; with ``corrupt`` the induced map is damaged first
-    to exercise the conflict paths.
+    to exercise the conflict paths.  ``battery`` is the fragment's default
+    ``witness_battery`` report, computed here unless the caller has it.
     """
-    from .conditions import witness_battery
-    battery = witness_battery(fragment)
+    if battery is None:
+        battery = witness_battery(fragment)
     relabeled, rho_star = relabel(fragment, seed)
     spec = DomainSpec(k_cap=k_cap, include_rays=not psi_only)
     phi = induce_str_iso(rho_star, spec)

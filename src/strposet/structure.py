@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .conditions import find_j3_witness
 from .core import HARD_MAX_TIER, PosetFragment, SmallPoset, bits_of, mask_of
@@ -30,12 +30,12 @@ ENUM_CAP = 16
 NodeLike = Union["StrNode", tuple[int, int]]
 
 
-@dataclass(frozen=True, slots=True)
-class StrNode:
+class StrNode(NamedTuple):
     """A pair node; ``ray_of`` marks the materialization of (x, upper set of x).
 
     Ray and finite nodes with the same masks compare unequal on purpose: the
-    reconstruction treats them differently.
+    reconstruction treats them differently.  As a named tuple a node hashes,
+    compares and sorts as the plain tuple ``(a_mask, b_mask, ray_of)``.
     """
 
     a_mask: int

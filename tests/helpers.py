@@ -114,6 +114,12 @@ def brute_k_sets(fragment: PosetFragment, x: int, cap: int):
     return out
 
 
+def mask_image_by_generators(mask: int, table) -> int:
+    """``IsoMap.h1_mask_image`` / ``h2_mask_image`` as they were before the
+    inline bit walk: ``mask_of`` over a generator over ``bits_of``."""
+    return mask_of(table[i] for i in bits_of(mask))
+
+
 def validate_all_pairs(phi, order_check: bool = True) -> list[str]:
     """``StrIso.validate`` as it was before the nesting index: the same audit
     with the order compared on every ordered pair of distinct domain nodes.

@@ -103,6 +103,8 @@ def test_gen_config_file_with_flag_override(capsys, files):
     (("gen", "--model", "affine", "-p", "7"), "p must be one of"),
     (("gen", "--model", "random", "--config", "/nonexistent.json",
       "--n1", "8", "--n2", "3"), "/nonexistent.json"),
+    (("gen", "--model", "affine", "-p", "5", "-d", "3"),
+     "at least 3380 curves"),
 ])
 def test_gen_rejects(capsys, argv, fragment_of_err):
     code, out, err = run(capsys, *argv)
@@ -325,6 +327,39 @@ def test_roundtrip_planted(capsys, files):
     code, data = run_json(capsys, "roundtrip", files["p3"], "--seed", "3")
     assert code == 0 and data["recovered"] is True
     assert data["battery"]["passed"] is True and data["probes"] > 0
+
+
+@pytest.mark.parametrize("fixture,flags,rc,sha256", [
+    ("p3", ["--seed", "3"], 0,
+     "6dd25ca389c529671d246314b8764cf57706ad6febeb86a1ba3f1272e3ba95d7"),
+    ("p3", ["--corrupt"], 1,
+     "f5b1bcd2931fb4fc7eb1baabf120f41262084c31b053051e364e2a191818e38b"),
+    ("f0", [], 1,    # refused: the battery fails
+     "a0e68eee888a7046dcd7d7d93af0591a60eae75961db23addcda3fa9aa690a91"),
+])
+def test_roundtrip_output_bytes_frozen(capsys, files, fixture, flags, rc,
+                                       sha256):
+    code, out, err = run(capsys, "roundtrip", files[fixture], *flags)
+    assert code == rc and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_roundtrip_runs_the_battery_once(capsys, files, monkeypatch):
+    import strposet.cli
+    import strposet.conditions
+    import strposet.reconstruction
+    real = strposet.conditions.witness_battery
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (strposet.cli, strposet.conditions, strposet.reconstruction):
+        monkeypatch.setattr(module, "witness_battery", counting,
+                            raising=False)
+    code, _ = run_json(capsys, "roundtrip", files["p3"], "--seed", "3")
+    assert code == 0 and len(calls) == 1
 
 
 def test_roundtrip_corrupt(capsys, files):

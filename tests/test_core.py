@@ -8,9 +8,10 @@ from strposet import (DEFAULT_MAX_TIER, HARD_MAX_TIER, ElementId, IsoMap,
                       MIN_ELEMENT, PosetFragment, SmallPoset, Tier, bits_of,
                       h1, h2, longest_chain_length, mask_of, relabel,
                       small_poset_isomorphic, validate)
+from strposet.core import mask_image
 
 from conftest import fragments
-from helpers import make_f0
+from helpers import make_f0, mask_image_by_generators
 
 
 def test_element_ids():
@@ -255,6 +256,23 @@ def test_relabel_seed_round_trip(frag, seed):
     inv = iso.inverse()
     back, _ = relabel(rel, 0, h1_perm=inv.h1_map, h2_perm=inv.h2_map)
     assert back == frag
+
+
+@given(st.lists(st.integers(0, HARD_MAX_TIER - 1), max_size=80), st.data())
+@settings(max_examples=200)
+def test_mask_image_matches_generator_route(table, data):
+    mask = data.draw(st.integers(0, (1 << len(table)) - 1))
+    assert mask_image(mask, table) == mask_image_by_generators(mask, table)
+
+
+@given(fragments(), st.integers(0, 2 ** 32), st.data())
+@settings(max_examples=60)
+def test_iso_mask_images_match_generator_route(frag, seed, data):
+    _, iso = relabel(frag, seed)
+    a = data.draw(st.integers(0, frag.all_h1_mask))
+    b = data.draw(st.integers(0, frag.all_h2_mask))
+    assert iso.h1_mask_image(a) == mask_image_by_generators(a, iso.h1_map)
+    assert iso.h2_mask_image(b) == mask_image_by_generators(b, iso.h2_map)
 
 
 def test_fragment_json_ignores_labels_in_eq():

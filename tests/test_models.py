@@ -2,12 +2,14 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strposet import (FragmentFormatError, GeneratorParams,
                       affine_plane_fragment, check_j1, check_j2, check_j4,
                       cusp_fragment, dumps_fragment, fragment_from_json,
-                      fragment_to_json, h1, h2, load_fragment, mu_statistic,
-                      random_fragment, save_fragment, validate)
+                      fragment_to_json, h1, h2, json_text, load_fragment,
+                      mu_statistic, random_fragment, save_fragment, validate)
 
 from helpers import eval_poly_label, make_f3
 
@@ -133,6 +135,12 @@ def test_affine_rejects_bad_inputs():
     with pytest.raises(ValueError, match="3380 curves, more than the tier "
                                          "cap 512"):
         affine_plane_fragment(5, 2)   # curve count blows the tier cap
+    # the degree <= 2 curves alone are too many: refused before the 5^10
+    # coefficient vectors of degree 3 are enumerated
+    with pytest.raises(ValueError, match=r"p=5, d=3 gives at least 3380 "
+                       r"curves \(those of degree at most 2\), more than "
+                       r"the tier cap 512"):
+        affine_plane_fragment(5, 3)
 
 
 # -- the cusp -----------------------------------------------------------------
@@ -147,6 +155,34 @@ def test_cusp_matches_hand_build():
 
 
 # -- persistence --------------------------------------------------------------
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.integers(-2 ** 100, 2 ** 100) | st.floats() | st.text())
+_JSON_KEYS = (st.text() | st.integers() | st.floats() | st.booleans()
+              | st.none())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner) | st.tuples(inner, inner)
+                   | st.dictionaries(_JSON_KEYS, inner)),
+    max_leaves=40)
+
+
+@given(_JSON_VALUES)
+@example({"\u00e9\u2603\U0001f600": [float("nan"), float("inf"),
+                                      -float("inf"), -0.0, 10 ** 30]})
+@example({1: [], 2.5: {}, False: (), None: [[]], "": -7})
+@settings(max_examples=300)
+def test_json_text_matches_stdlib_indent(value):
+    assert json_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{"a": {1, 2}}, {(1, 2): 0}, [object()]])
+def test_json_text_refuses_what_the_stdlib_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        json_text(value)
 
 
 def test_json_round_trip(tmp_path):

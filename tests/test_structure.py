@@ -128,6 +128,34 @@ def test_node_json_round_trip(f0):
     assert format_node(f0, ray) == "(ray c|d)"
 
 
+def test_str_node_identity():
+    # problem strings embed the repr, so it is pinned
+    fin, ray = StrNode(0b11, 0b1), StrNode(0b11, 0b1, ray_of=0)
+    assert repr(fin) == "StrNode(a_mask=3, b_mask=1, ray_of=None)"
+    assert repr(ray) == "StrNode(a_mask=3, b_mask=1, ray_of=0)"
+    assert fin != ray and len({fin, ray}) == 2
+    assert fin == finite_node(3, 1) and hash(fin) == hash(finite_node(3, 1))
+    # a node is the plain tuple (a_mask, b_mask, ray_of)
+    assert fin == (3, 1, None) and hash(fin) == hash((3, 1, None))
+    assert sorted([StrNode(2, 1), StrNode(1, 4)]) == [(1, 4, None),
+                                                      (2, 1, None)]
+
+
+_NODE_PARTS = (st.integers(0, 7), st.integers(0, 7),
+               st.none() | st.integers(0, 2))
+
+
+@given(st.tuples(*_NODE_PARTS), st.tuples(*_NODE_PARTS))
+@settings(max_examples=200)
+def test_str_node_hash_agrees_with_eq(u_parts, v_parts):
+    u, v = StrNode(*u_parts), StrNode(*v_parts)
+    assert (u == v) == (u_parts == v_parts)
+    if u == v:
+        assert hash(u) == hash(v) and len({u, v}) == 1
+    else:
+        assert len({u, v}) == 2
+
+
 def test_str_leq_matches_bruteforce_exhaustively():
     for frag in (make_f0(), make_f3()):
         for view in all_fibers(frag):
