@@ -2,10 +2,8 @@
 nodes, fiber statistics, and reconstruction of fragment isomorphisms from
 isomorphisms of the pair order."""
 
-from .core import (DEFAULT_MAX_TIER, HARD_MAX_TIER, ElementId, IsoMap,
-                   MIN_ELEMENT, PosetFragment, SmallPoset, Tier,
-                   ValidationReport, bits_of, h1, h2, longest_chain_length,
-                   mask_of, relabel, small_poset_isomorphic, validate)
+from .core import (HARD_MAX_TIER, IsoMap, PosetFragment, ValidationReport,
+                   bits_of, mask_of, relabel, validate)
 from .conditions import (BatteryReport, ConditionReport, check_j1, check_j2,
                          check_j4, check_p1_to_p4, find_j3_witness,
                          find_p5_witness, find_special_t, survey_j3,
@@ -31,10 +29,8 @@ from .reconstruction import (DomainSpec, FactorizationReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_MAX_TIER", "HARD_MAX_TIER", "ElementId", "IsoMap",
-    "MIN_ELEMENT", "PosetFragment", "SmallPoset", "Tier",
-    "ValidationReport", "bits_of", "h1", "h2", "longest_chain_length",
-    "mask_of", "relabel", "small_poset_isomorphic", "validate",
+    "HARD_MAX_TIER", "IsoMap", "PosetFragment", "ValidationReport",
+    "bits_of", "mask_of", "relabel", "validate",
     "BatteryReport", "ConditionReport", "check_j1", "check_j2", "check_j4",
     "check_p1_to_p4", "find_j3_witness", "find_p5_witness",
     "find_special_t", "survey_j3", "survey_p5", "witness_battery",

@@ -149,8 +149,7 @@ def cmd_check(args) -> int:
     reports.extend(check_p1_to_p4(fragment, args.k))
     j3 = survey_j3(fragment, args.j3_cap)
     p5 = survey_p5(fragment, args.smax, args.tmax)
-    battery = witness_battery(fragment, k=args.k, fmax=2,
-                              j4_tmax=args.j4_tmax)
+    battery = witness_battery(fragment, k=args.k, j4_tmax=args.j4_tmax)
     # P4 reports a bound rather than a verdict; it never fails the run.
     required = [r for r in reports if r.condition != "P4"]
     ok = structural.ok and all(r.holds for r in required)

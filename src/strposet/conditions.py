@@ -173,32 +173,15 @@ def check_j4(fragment: PosetFragment, tmax: int = 2) -> ConditionReport:
 
 def find_special_t(fragment: PosetFragment, s_mask: int, t_mask: int
                    ) -> Optional[int]:
-    """Height-one t outside S lying below every point of T.
-
-    Runs the direct scan and, independently, the constructive recipe (find a
-    point v above nothing in S, then solve below T plus v); if both succeed
-    each result is checked against the other's requirements.
-    """
+    """Lowest height-one t outside S lying below every point of T."""
     _check_window(fragment, s_mask, t_mask)
     outside = fragment.common_h1_below(t_mask) & ~s_mask
-    direct = (outside & -outside).bit_length() - 1 if outside else None
-    recipe = None
-    for v in range(fragment.n2):
-        if fragment.down[v] & s_mask:
-            continue
-        cands = fragment.common_h1_below(t_mask | (1 << v))
-        if cands:
-            recipe = (cands & -cands).bit_length() - 1
-            break
-    if recipe is not None:
-        if s_mask >> recipe & 1 or t_mask & ~fragment.up[recipe]:
-            raise RuntimeError("recipe produced an invalid witness")
-        if direct is None:
-            raise RuntimeError("recipe succeeded where direct scan failed")
-    return direct
+    return (outside & -outside).bit_length() - 1 if outside else None
 
 
 # -- the battery gating reconstruction round trips --------------------------
+
+_FMAX = 2       # the largest curve set F the battery's J3 clause must survive
 
 
 @dataclass(slots=True)
@@ -230,16 +213,16 @@ def _cover_upto(edges: list[int], budget: int) -> Optional[list[int]]:
     return None
 
 
-def witness_battery(fragment: PosetFragment, k: int = 2, fmax: int = 2,
+def witness_battery(fragment: PosetFragment, k: int = 2,
                     j4_tmax: int = 2) -> BatteryReport:
     """Sufficient conditions for the reconstruction round trip to determine
     every curve.
 
-    The J3 clause demands, for every point m and every F of at most fmax
-    curves, a PAIR disjoint from F whose only common point is m.  A killing F
-    is exactly a vertex cover of the pair graph at m, so the check is a
-    bounded cover search.  Pair witnesses (rather than larger K) are what the
-    K-set disambiguation argument consumes.
+    The J3 clause demands, for every point m and every F of at most
+    ``_FMAX`` curves, a PAIR disjoint from F whose only common point is m.  A
+    killing F is exactly a vertex cover of the pair graph at m, so the check
+    is a bounded cover search.  Pair witnesses (rather than larger K) are
+    what the K-set disambiguation argument consumes.
     """
     j2 = check_j2(fragment, k)
     j4 = check_j4(fragment, j4_tmax)
@@ -256,13 +239,13 @@ def witness_battery(fragment: PosetFragment, k: int = 2, fmax: int = 2,
                                 "killing_F": None,
                                 "reason": "no pair with this unique point"})
             continue
-        cover = _cover_upto(edges, fmax)
+        cover = _cover_upto(edges, _FMAX)
         if cover is not None:
             j3_failures.append(
                 {"m": fragment.h2_labels[m],
                  "killing_F": [fragment.h1_labels[i] for i in cover]})
     if j3_failures:
-        reasons.append(f"J3 pair witnesses not stable under |F|<={fmax}")
+        reasons.append(f"J3 pair witnesses not stable under |F|<={_FMAX}")
     return BatteryReport(not reasons,
-                         {"k": k, "fmax": fmax, "j4_tmax": j4_tmax},
+                         {"k": k, "fmax": _FMAX, "j4_tmax": j4_tmax},
                          reasons, j3_failures)

@@ -14,45 +14,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from enum import IntEnum
-from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
-DEFAULT_MAX_TIER = 64
 HARD_MAX_TIER = 512
 
 
-class Tier(IntEnum):
-    MIN = 0
-    H1 = 1
-    H2 = 2
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class ElementId:
-    """One element of a fragment: a tier plus an index within the tier.
-
-    Ordered by (tier, index) so element lists sort stably; this sort order
-    is unrelated to the poset order."""
-
-    tier: Tier
-    index: int
-
-    def __repr__(self) -> str:
-        if self.tier is Tier.MIN:
-            return "Min"
-        return f"{'h1' if self.tier is Tier.H1 else 'h2'}[{self.index}]"
-
-
-MIN_ELEMENT = ElementId(Tier.MIN, 0)
-
-
-def h1(i: int) -> ElementId:
-    return ElementId(Tier.H1, i)
-
-
-def h2(j: int) -> ElementId:
-    return ElementId(Tier.H2, j)
+def check_tier_sizes(n1: int, n2: int) -> None:
+    """The one tier limit: each tier holds 0..HARD_MAX_TIER elements."""
+    if n1 < 0 or n2 < 0:
+        raise ValueError("tier sizes must be nonnegative")
+    if n1 > HARD_MAX_TIER or n2 > HARD_MAX_TIER:
+        raise ValueError(
+            f"tier size exceeds cap {HARD_MAX_TIER} (n1={n1}, n2={n2})")
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -106,15 +79,8 @@ class PosetFragment:
     def __init__(self, n1: int, n2: int,
                  incidence: Iterable[tuple[int, int]],
                  h1_labels: Optional[Sequence[str]] = None,
-                 h2_labels: Optional[Sequence[str]] = None,
-                 max_size: int = DEFAULT_MAX_TIER):
-        if not 0 < max_size <= HARD_MAX_TIER:
-            raise ValueError(f"max_size must be in 1..{HARD_MAX_TIER}")
-        if n1 < 0 or n2 < 0:
-            raise ValueError("tier sizes must be nonnegative")
-        if n1 > max_size or n2 > max_size:
-            raise ValueError(
-                f"tier size exceeds cap {max_size} (n1={n1}, n2={n2})")
+                 h2_labels: Optional[Sequence[str]] = None):
+        check_tier_sizes(n1, n2)
         pairs = []
         seen = set()
         for pair in incidence:
@@ -182,12 +148,6 @@ class PosetFragment:
     def all_h2_mask(self) -> int:
         return (1 << self.n2) - 1
 
-    def h2_above(self, i: int) -> int:
-        return self.up[i]
-
-    def h1_below(self, j: int) -> int:
-        return self.down[j]
-
     def common_h2_above(self, h1_mask: int) -> int:
         """Points above every curve in the mask (all points for the empty mask)."""
         acc = self.all_h2_mask
@@ -232,72 +192,6 @@ class PosetFragment:
         for size in range(max(2 - nbase, 1), min(max_size - nbase, n) + 1):
             yield from grow(start, 0, size, base)
 
-    # -- elements and order -----------------------------------------------
-
-    def elements(self) -> list[ElementId]:
-        out = [MIN_ELEMENT]
-        out.extend(ElementId(Tier.H1, i) for i in range(self.n1))
-        out.extend(ElementId(Tier.H2, j) for j in range(self.n2))
-        return out
-
-    def _check_element(self, x: ElementId) -> None:
-        if x.tier is Tier.MIN:
-            if x.index != 0:
-                raise ValueError("the minimum has index 0")
-        elif x.tier is Tier.H1:
-            if not 0 <= x.index < self.n1:
-                raise ValueError(f"h1 index {x.index} out of range")
-        elif not 0 <= x.index < self.n2:
-            raise ValueError(f"h2 index {x.index} out of range")
-
-    def leq(self, x: ElementId, y: ElementId) -> bool:
-        self._check_element(x)
-        self._check_element(y)
-        if x == y:
-            return True
-        if x.tier is Tier.MIN:
-            return True
-        if x.tier is Tier.H1 and y.tier is Tier.H2:
-            return bool(self.up[x.index] >> y.index & 1)
-        return False
-
-    def upper_set(self, elems: Iterable[ElementId],
-                  strict: bool = False) -> frozenset[ElementId]:
-        """Elements above every member of ``elems`` (all of X for the empty set).
-
-        With ``strict`` the input elements themselves are removed.
-        """
-        elems = list(elems)
-        out = {x for x in self.elements()
-               if all(self.leq(a, x) for a in elems)}
-        if strict:
-            out -= set(elems)
-        return frozenset(out)
-
-    def lower_set(self, elems: Iterable[ElementId],
-                  strict: bool = False) -> frozenset[ElementId]:
-        elems = list(elems)
-        out = {x for x in self.elements()
-               if all(self.leq(x, a) for a in elems)}
-        if strict:
-            out -= set(elems)
-        return frozenset(out)
-
-    def mub(self, elems: Iterable[ElementId]) -> frozenset[ElementId]:
-        """Minimal upper bounds of a nonempty set of elements."""
-        elems = list(elems)
-        if not elems:
-            raise ValueError("mub of the empty set is not defined here")
-        ub = [x for x in self.elements()
-              if all(self.leq(a, x) for a in elems)]
-        return frozenset(
-            x for x in ub
-            if not any(y != x and self.leq(y, x) for y in ub))
-
-    def height(self, x: ElementId) -> int:
-        self._check_element(x)
-        return int(x.tier)
-
     def dim(self) -> int:
         """Length of the longest chain minus one."""
         if any(self.down):
@@ -307,12 +201,6 @@ class PosetFragment:
         return 0
 
     # -- labels -----------------------------------------------------------
-
-    def h1_label(self, i: int) -> str:
-        return self.h1_labels[i]
-
-    def h2_label(self, j: int) -> str:
-        return self.h2_labels[j]
 
     def h1_mask_labels(self, mask: int) -> list[str]:
         return [self.h1_labels[i] for i in bits_of(mask)]
@@ -379,13 +267,6 @@ class IsoMap:
         if mapped != tgt.incidence:
             raise ValueError("map does not preserve incidence")
 
-    def apply(self, x: ElementId) -> ElementId:
-        if x.tier is Tier.MIN:
-            return MIN_ELEMENT
-        if x.tier is Tier.H1:
-            return ElementId(Tier.H1, self.h1_map[x.index])
-        return ElementId(Tier.H2, self.h2_map[x.index])
-
     def h1_mask_image(self, mask: int) -> int:
         return mask_image(mask, self.h1_map)
 
@@ -439,120 +320,5 @@ def relabel(fragment: PosetFragment, seed: int,
     for j, y in enumerate(p2):
         new_h2[y] = fragment.h2_labels[j]
     relabeled = PosetFragment(fragment.n1, fragment.n2, pairs,
-                              new_h1, new_h2,
-                              max_size=max(fragment.n1, fragment.n2,
-                                           DEFAULT_MAX_TIER))
+                              new_h1, new_h2)
     return relabeled, IsoMap(fragment, relabeled, tuple(p1), tuple(p2))
-
-
-# -- small abstract posets -------------------------------------------------
-
-SMALL_POSET_CAP = 12
-
-
-@dataclass(frozen=True)
-class SmallPoset:
-    """Abstract finite poset given by full reachability rows.
-
-    Bit j of ``leq_rows[i]`` says element i is below-or-equal element j.
-    Used for brute-force shape comparisons on tiny posets.
-    """
-
-    n: int
-    leq_rows: tuple[int, ...]
-
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.leq_rows[i] >> j & 1)
-
-    @classmethod
-    def from_pairs(cls, n: int, strict_pairs: Iterable[tuple[int, int]]
-                   ) -> "SmallPoset":
-        """Reflexive-transitive closure of the given strict relations."""
-        rows = [1 << i for i in range(n)]
-        for i, j in strict_pairs:
-            rows[i] |= 1 << j
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = rows[i]
-                for j in bits_of(acc):
-                    acc |= rows[j]
-                if acc != rows[i]:
-                    rows[i] = acc
-                    changed = True
-        return cls(n, tuple(rows))
-
-    @classmethod
-    def i_r(cls, r: int) -> "SmallPoset":
-        """r incomparable bottom elements under one common top."""
-        if r < 1:
-            raise ValueError("r must be positive")
-        return cls.from_pairs(r + 1, [(i, r) for i in range(r)])
-
-
-def small_poset_isomorphic(p: SmallPoset, q: SmallPoset) -> bool:
-    """Brute-force order-isomorphism test, capped at 12 elements each."""
-    if p.n > SMALL_POSET_CAP or q.n > SMALL_POSET_CAP:
-        raise ValueError(f"poset too large for brute force (cap {SMALL_POSET_CAP})")
-    if p.n != q.n:
-        return False
-    n = p.n
-
-    def degrees(s: SmallPoset) -> list[tuple[int, int]]:
-        ups = [s.leq_rows[i].bit_count() for i in range(n)]
-        downs = [sum(s.leq(j, i) for j in range(n)) for i in range(n)]
-        return [(downs[i], ups[i]) for i in range(n)]
-
-    pdeg, qdeg = degrees(p), degrees(q)
-    if sorted(pdeg) != sorted(qdeg):
-        return False
-    order = sorted(range(n), key=lambda i: pdeg[i])
-    image = [-1] * n
-    used = [False] * n
-
-    def backtrack(k: int) -> bool:
-        if k == n:
-            return True
-        i = order[k]
-        for cand in range(n):
-            if used[cand] or qdeg[cand] != pdeg[i]:
-                continue
-            ok = True
-            for t in range(k):
-                a = order[t]
-                if (p.leq(i, a) != q.leq(cand, image[a])
-                        or p.leq(a, i) != q.leq(image[a], cand)):
-                    ok = False
-                    break
-            if ok:
-                image[i] = cand
-                used[cand] = True
-                if backtrack(k + 1):
-                    return True
-                used[cand] = False
-                image[i] = -1
-        return False
-
-    return backtrack(0)
-
-
-def longest_chain_length(fragment: PosetFragment) -> int:
-    """Chain enumeration oracle for dim(); only for tiny fragments."""
-    elems = list(fragment.elements())
-    if len(elems) > SMALL_POSET_CAP + 1:
-        raise ValueError("fragment too large for chain enumeration")
-    best = 0
-    for r in range(1, len(elems) + 1):
-        found = False
-        for chain in permutations(elems, r):
-            if all(chain[k] != chain[k + 1]
-                   and fragment.leq(chain[k], chain[k + 1])
-                   for k in range(r - 1)):
-                found = True
-                break
-        if found:
-            best = r
-        else:
-            break
-    return best

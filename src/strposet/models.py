@@ -7,12 +7,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
-from .core import (DEFAULT_MAX_TIER, HARD_MAX_TIER, PosetFragment, bits_of)
+from .core import HARD_MAX_TIER, PosetFragment, bits_of, check_tier_sizes
 
 
 class FragmentFormatError(ValueError):
@@ -35,6 +35,7 @@ class GeneratorParams:
     def check(self) -> None:
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("both tiers must be nonempty")
+        check_tier_sizes(self.n1, self.n2)
         if self.planted_pairs_per_point < 1:
             raise ValueError("planted_pairs_per_point must be at least 1")
         if self.pairwise_cap < 2:
@@ -149,8 +150,7 @@ def _random_attempt(params: GeneratorParams,
             add(x, p)
 
     pairs = [(i, j) for i in range(n1) for j in bits_of(up[i])]
-    return PosetFragment(n1, n2, pairs,
-                         max_size=max(n1, n2, DEFAULT_MAX_TIER))
+    return PosetFragment(n1, n2, pairs)
 
 
 # -- affine plane curves over a small prime field ----------------------------
@@ -270,8 +270,7 @@ def affine_plane_fragment(p: int, d: int) -> PosetFragment:
              for i, (_, zeros) in enumerate(curves) for pt in zeros]
     h1_labels = [_poly_str(f, monos) for f, _ in curves]
     h2_labels = [f"pt{a}{b}" for a, b in points]
-    return PosetFragment(n1, n2, pairs, h1_labels, h2_labels,
-                         max_size=max(n1, n2, DEFAULT_MAX_TIER))
+    return PosetFragment(n1, n2, pairs, h1_labels, h2_labels)
 
 
 # -- fixed example: cusp touching two smooth branches ------------------------
@@ -305,8 +304,7 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def fragment_from_json(obj: object,
-                       max_size: Optional[int] = None) -> PosetFragment:
+def fragment_from_json(obj: object) -> PosetFragment:
     if not isinstance(obj, dict):
         raise FragmentFormatError("top level must be an object")
     if obj.get("version") != 1:
@@ -339,12 +337,9 @@ def fragment_from_json(obj: object,
     labels = obj.get("labels") or {}
     if not isinstance(labels, dict):
         raise FragmentFormatError("labels must be an object")
-    if max_size is None:
-        max_size = min(max(DEFAULT_MAX_TIER, n1, n2), HARD_MAX_TIER)
     try:
         return PosetFragment(n1, n2, pairs,
-                             labels.get("h1"), labels.get("h2"),
-                             max_size=max_size)
+                             labels.get("h1"), labels.get("h2"))
     except ValueError as exc:
         raise FragmentFormatError(str(exc)) from exc
 
@@ -410,11 +405,10 @@ def dumps_fragment(fragment: PosetFragment) -> str:
     return json_text(fragment_to_json(fragment))
 
 
-def load_fragment(path: Union[str, Path],
-                  max_size: Optional[int] = None) -> PosetFragment:
+def load_fragment(path: Union[str, Path]) -> PosetFragment:
     text = Path(path).read_text(encoding="utf-8")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FragmentFormatError(f"not valid JSON: {exc}") from exc
-    return fragment_from_json(obj, max_size=max_size)
+    return fragment_from_json(obj)

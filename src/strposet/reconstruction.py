@@ -18,8 +18,7 @@ from typing import Optional
 
 from .conditions import BatteryReport, witness_battery
 from .core import IsoMap, PosetFragment, bits_of, mask_of, relabel
-from .structure import (StrNode, enumerate_fiber, ray_node, str_leq,
-                        str_member)
+from .structure import StrNode, ray_node, str_leq, str_member
 
 
 @dataclass(slots=True)
@@ -65,14 +64,12 @@ class DomainSpec:
 
     Per point m, all pairs (K, {m}) with K drawn from the first
     ``fiber_support_cap`` curves below m and |K| <= k_cap; optionally every
-    ray node; optionally the nodes of extra fibers given as
-    (b_mask, support_mask, amax) triples.
+    ray node.
     """
 
     k_cap: int = 3
     include_rays: bool = False
     fiber_support_cap: Optional[int] = None
-    extra_fibers: tuple[tuple[int, int, int], ...] = ()
 
 
 def enumerate_domain(fragment: PosetFragment, spec: DomainSpec
@@ -85,9 +82,6 @@ def enumerate_domain(fragment: PosetFragment, spec: DomainSpec
         for size in range(1, min(spec.k_cap, len(pool)) + 1):
             for combo in combinations(pool, size):
                 nodes.append(StrNode(mask_of(combo), 1 << m))
-    for b_mask, support_mask, amax in spec.extra_fibers:
-        nodes.extend(enumerate_fiber(fragment, b_mask, support_mask,
-                                     amax).nodes)
     if spec.include_rays:
         nodes.extend(ray_node(fragment, x) for x in range(fragment.n1))
     return list(dict.fromkeys(nodes))
@@ -264,10 +258,14 @@ def rho2_from_phi(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
     """Point map from where singleton-fiber nodes land.
 
     Every domain node over {m} must map into one singleton fiber {n};
-    disagreements and non-singleton images become conflicts.
+    disagreements and non-singleton images become conflicts.  An image over
+    one point of fragment_y is a member iff its curves meet those below the
+    point; any other image takes ``str_member``, which raises ValueError on
+    masks outside fragment_y.
     """
     trace = ReconstructionTrace()
     fx, fy = phi.fragment_x, phi.fragment_y
+    h1_top, h2_top = fy.all_h1_mask, fy.all_h2_mask
     groups: dict[int, list[StrNode]] = {m: [] for m in range(fx.n2)}
     for node in phi.domain:
         if node.is_ray or node.b_mask.bit_count() != 1:
@@ -282,18 +280,23 @@ def rho2_from_phi(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
         witness = None
         for node in groups[m]:
             img = phi.map(node)
-            if not str_member(fy, img.masks()):
+            a, b = img.a_mask, img.b_mask
+            if 0 <= a <= h1_top and 0 < b <= h2_top and not b & (b - 1):
+                member = bool(a & fy.down[b.bit_length() - 1])
+            else:
+                member = str_member(fy, (a, b))
+            if not member:
                 trace.conflicts.append(
                     {"kind": "image-not-member", "m": fx.h2_labels[m],
                      "node": node.to_json()})
                 continue
-            if img.b_mask.bit_count() != 1:
+            if b.bit_count() != 1:
                 trace.conflicts.append(
                     {"kind": "image-fiber-not-singleton",
                      "m": fx.h2_labels[m], "node": node.to_json(),
                      "image": img.to_json()})
                 continue
-            n = img.b_mask.bit_length() - 1
+            n = b.bit_length() - 1
             if target is None:
                 target, witness = n, node
             elif n != target:
@@ -435,17 +438,12 @@ class FactorizationReport:
                 "clean": self.clean, "violations": list(self.violations)}
 
 
-def verify_factorization(phi: StrIso, rho: IsoMap,
-                         sample_cap: Optional[int] = None,
-                         seed: int = 0) -> FactorizationReport:
+def verify_factorization(phi: StrIso, rho: IsoMap) -> FactorizationReport:
     """Check phi(A, B) = (rho A, rho B) nodewise; mismatches report the
     pulled-back ordinates of the actual image next to A and B."""
-    nodes = phi.domain
-    if sample_cap is not None and len(nodes) > sample_cap:
-        nodes = random.Random(seed).sample(nodes, sample_cap)
     inv = rho.inverse()
     violations = []
-    for node in nodes:
+    for node in phi.domain:
         img = phi.map(node)
         ray = None if node.ray_of is None else rho.h1_map[node.ray_of]
         expected = StrNode(rho.h1_mask_image(node.a_mask),
@@ -456,7 +454,7 @@ def verify_factorization(phi: StrIso, rho: IsoMap,
                  "expected": expected.to_json(),
                  "a_star": list(bits_of(inv.h1_mask_image(img.a_mask))),
                  "b_star": list(bits_of(inv.h2_mask_image(img.b_mask)))})
-    return FactorizationReport(len(nodes), violations)
+    return FactorizationReport(len(phi.domain), violations)
 
 
 def extend_psi_to_phi(psi: StrIso, size_cap: int = 3) -> StrIso:

@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .conditions import find_j3_witness
-from .core import HARD_MAX_TIER, PosetFragment, SmallPoset, bits_of, mask_of
+from .core import HARD_MAX_TIER, PosetFragment, bits_of, mask_of
 
 BRUTE_CAP = 16
 ENUM_CAP = 16
@@ -297,16 +297,6 @@ class FiberView:
     def leq(self, i: int, j: int) -> bool:
         return bool(self.leq_rows[i] >> j & 1)
 
-    def index_of(self, node: StrNode) -> int:
-        return self.nodes.index(node)
-
-    def down_indices(self, i: int) -> list[int]:
-        return [j for j in range(len(self.nodes)) if self.leq(j, i)]
-
-    def height_positive_by_order(self, i: int) -> bool:
-        """Does some other node sit strictly below node i?"""
-        return any(j != i and self.leq(j, i) for j in range(len(self.nodes)))
-
     def covers(self) -> list[tuple[int, int]]:
         n = len(self.nodes)
         out = []
@@ -318,19 +308,6 @@ class FiberView:
                            and self.leq(k, j) for k in range(n)):
                     out.append((i, j))
         return sorted(out)
-
-    def to_small_poset(self, indices: Optional[Sequence[int]] = None
-                       ) -> SmallPoset:
-        idxs = list(range(len(self.nodes))) if indices is None else list(indices)
-        pos = {v: k for k, v in enumerate(idxs)}
-        rows = []
-        for i in idxs:
-            r = 0
-            for j in idxs:
-                if self.leq(i, j):
-                    r |= 1 << pos[j]
-            rows.append(r)
-        return SmallPoset(len(idxs), tuple(rows))
 
     def to_json(self) -> dict:
         return {"version": 1,

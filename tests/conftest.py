@@ -38,8 +38,7 @@ def fragment_and_member(draw, max_n1=6, max_n2=4):
     frag = draw(fragments(max_n1=max_n1, max_n2=max_n2))
     carriers = [i for i in range(frag.n1) if frag.up[i]]
     if not carriers:
-        frag = PosetFragment(frag.n1, frag.n2, [(0, 0)],
-                             max_size=max(frag.n1, frag.n2, 64))
+        frag = PosetFragment(frag.n1, frag.n2, [(0, 0)])
         carriers = [0]
     x = draw(st.sampled_from(carriers))
     points = list(bits_of(frag.up[x]))

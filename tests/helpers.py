@@ -2,13 +2,283 @@
 
 The oracles deliberately take the literal definition route (enumerate subsets,
 call the element-level mub) rather than reusing the library's closed forms,
-so the two implementations check each other.
+so the two implementations check each other.  The element-level model of a
+fragment (``ElementId``, ``leq``, ``mub``, ...), the abstract ``SmallPoset``
+with its isomorphism test, and the order-walking ``FiberView`` queries live
+here: the library itself works on bitmasks only.
 """
 
-from itertools import combinations
+from dataclasses import dataclass
+from enum import IntEnum
+from itertools import combinations, permutations
+from typing import Iterable, Optional, Sequence
 
-from strposet import (PosetFragment, bits_of, finite_node, h1, h2, mask_of,
-                      str_leq, str_leq_bruteforce, str_member)
+from strposet import (FiberView, IsoMap, PosetFragment, StrNode, bits_of,
+                      finite_node, mask_of, str_leq, str_leq_bruteforce,
+                      str_member)
+
+
+# -- the element-level model of a fragment -----------------------------------
+
+
+class Tier(IntEnum):
+    MIN = 0
+    H1 = 1
+    H2 = 2
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class ElementId:
+    """One element of a fragment: a tier plus an index within the tier.
+
+    Ordered by (tier, index) so element lists sort stably; this sort order
+    is unrelated to the poset order."""
+
+    tier: Tier
+    index: int
+
+    def __repr__(self) -> str:
+        if self.tier is Tier.MIN:
+            return "Min"
+        return f"{'h1' if self.tier is Tier.H1 else 'h2'}[{self.index}]"
+
+
+MIN_ELEMENT = ElementId(Tier.MIN, 0)
+
+
+def h1(i: int) -> ElementId:
+    return ElementId(Tier.H1, i)
+
+
+def h2(j: int) -> ElementId:
+    return ElementId(Tier.H2, j)
+
+
+def elements(fragment: PosetFragment) -> list[ElementId]:
+    out = [MIN_ELEMENT]
+    out.extend(ElementId(Tier.H1, i) for i in range(fragment.n1))
+    out.extend(ElementId(Tier.H2, j) for j in range(fragment.n2))
+    return out
+
+
+def check_element(fragment: PosetFragment, x: ElementId) -> None:
+    if x.tier is Tier.MIN:
+        if x.index != 0:
+            raise ValueError("the minimum has index 0")
+    elif x.tier is Tier.H1:
+        if not 0 <= x.index < fragment.n1:
+            raise ValueError(f"h1 index {x.index} out of range")
+    elif not 0 <= x.index < fragment.n2:
+        raise ValueError(f"h2 index {x.index} out of range")
+
+
+def leq(fragment: PosetFragment, x: ElementId, y: ElementId) -> bool:
+    check_element(fragment, x)
+    check_element(fragment, y)
+    if x == y:
+        return True
+    if x.tier is Tier.MIN:
+        return True
+    if x.tier is Tier.H1 and y.tier is Tier.H2:
+        return bool(fragment.up[x.index] >> y.index & 1)
+    return False
+
+
+def upper_set(fragment: PosetFragment, elems: Iterable[ElementId],
+              strict: bool = False) -> frozenset[ElementId]:
+    """Elements above every member of ``elems`` (all of X for the empty set).
+
+    With ``strict`` the input elements themselves are removed.
+    """
+    elems = list(elems)
+    out = {x for x in elements(fragment)
+           if all(leq(fragment, a, x) for a in elems)}
+    if strict:
+        out -= set(elems)
+    return frozenset(out)
+
+
+def lower_set(fragment: PosetFragment, elems: Iterable[ElementId],
+              strict: bool = False) -> frozenset[ElementId]:
+    elems = list(elems)
+    out = {x for x in elements(fragment)
+           if all(leq(fragment, x, a) for a in elems)}
+    if strict:
+        out -= set(elems)
+    return frozenset(out)
+
+
+def mub(fragment: PosetFragment,
+        elems: Iterable[ElementId]) -> frozenset[ElementId]:
+    """Minimal upper bounds of a nonempty set of elements."""
+    elems = list(elems)
+    if not elems:
+        raise ValueError("mub of the empty set is not defined here")
+    ub = [x for x in elements(fragment)
+          if all(leq(fragment, a, x) for a in elems)]
+    return frozenset(
+        x for x in ub
+        if not any(y != x and leq(fragment, y, x) for y in ub))
+
+
+def height(fragment: PosetFragment, x: ElementId) -> int:
+    check_element(fragment, x)
+    return int(x.tier)
+
+
+def iso_apply(iso: IsoMap, x: ElementId) -> ElementId:
+    """The image of one element under a fragment isomorphism."""
+    if x.tier is Tier.MIN:
+        return MIN_ELEMENT
+    if x.tier is Tier.H1:
+        return ElementId(Tier.H1, iso.h1_map[x.index])
+    return ElementId(Tier.H2, iso.h2_map[x.index])
+
+
+# -- small abstract posets -------------------------------------------------
+
+SMALL_POSET_CAP = 12
+
+
+@dataclass(frozen=True)
+class SmallPoset:
+    """Abstract finite poset given by full reachability rows.
+
+    Bit j of ``leq_rows[i]`` says element i is below-or-equal element j.
+    Used for brute-force shape comparisons on tiny posets.
+    """
+
+    n: int
+    leq_rows: tuple[int, ...]
+
+    def leq(self, i: int, j: int) -> bool:
+        return bool(self.leq_rows[i] >> j & 1)
+
+    @classmethod
+    def from_pairs(cls, n: int, strict_pairs: Iterable[tuple[int, int]]
+                   ) -> "SmallPoset":
+        """Reflexive-transitive closure of the given strict relations."""
+        rows = [1 << i for i in range(n)]
+        for i, j in strict_pairs:
+            rows[i] |= 1 << j
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n):
+                acc = rows[i]
+                for j in bits_of(acc):
+                    acc |= rows[j]
+                if acc != rows[i]:
+                    rows[i] = acc
+                    changed = True
+        return cls(n, tuple(rows))
+
+    @classmethod
+    def i_r(cls, r: int) -> "SmallPoset":
+        """r incomparable bottom elements under one common top."""
+        if r < 1:
+            raise ValueError("r must be positive")
+        return cls.from_pairs(r + 1, [(i, r) for i in range(r)])
+
+
+def small_poset_isomorphic(p: SmallPoset, q: SmallPoset) -> bool:
+    """Brute-force order-isomorphism test, capped at 12 elements each."""
+    if p.n > SMALL_POSET_CAP or q.n > SMALL_POSET_CAP:
+        raise ValueError(f"poset too large for brute force (cap {SMALL_POSET_CAP})")
+    if p.n != q.n:
+        return False
+    n = p.n
+
+    def degrees(s: SmallPoset) -> list[tuple[int, int]]:
+        ups = [s.leq_rows[i].bit_count() for i in range(n)]
+        downs = [sum(s.leq(j, i) for j in range(n)) for i in range(n)]
+        return [(downs[i], ups[i]) for i in range(n)]
+
+    pdeg, qdeg = degrees(p), degrees(q)
+    if sorted(pdeg) != sorted(qdeg):
+        return False
+    order = sorted(range(n), key=lambda i: pdeg[i])
+    image = [-1] * n
+    used = [False] * n
+
+    def backtrack(k: int) -> bool:
+        if k == n:
+            return True
+        i = order[k]
+        for cand in range(n):
+            if used[cand] or qdeg[cand] != pdeg[i]:
+                continue
+            ok = True
+            for t in range(k):
+                a = order[t]
+                if (p.leq(i, a) != q.leq(cand, image[a])
+                        or p.leq(a, i) != q.leq(image[a], cand)):
+                    ok = False
+                    break
+            if ok:
+                image[i] = cand
+                used[cand] = True
+                if backtrack(k + 1):
+                    return True
+                used[cand] = False
+                image[i] = -1
+        return False
+
+    return backtrack(0)
+
+
+def longest_chain_length(fragment: PosetFragment) -> int:
+    """Chain enumeration oracle for dim(); only for tiny fragments."""
+    elems = list(elements(fragment))
+    if len(elems) > SMALL_POSET_CAP + 1:
+        raise ValueError("fragment too large for chain enumeration")
+    best = 0
+    for r in range(1, len(elems) + 1):
+        found = False
+        for chain in permutations(elems, r):
+            if all(chain[k] != chain[k + 1]
+                   and leq(fragment, chain[k], chain[k + 1])
+                   for k in range(r - 1)):
+                found = True
+                break
+        if found:
+            best = r
+        else:
+            break
+    return best
+
+
+# -- fiber views read through their order rows ------------------------------
+
+
+def index_of(view: FiberView, node: StrNode) -> int:
+    return view.nodes.index(node)
+
+
+def down_indices(view: FiberView, i: int) -> list[int]:
+    return [j for j in range(len(view.nodes)) if view.leq(j, i)]
+
+
+def height_positive_by_order(view: FiberView, i: int) -> bool:
+    """Does some other node sit strictly below node i?"""
+    return any(j != i and view.leq(j, i) for j in range(len(view.nodes)))
+
+
+def to_small_poset(view: FiberView, indices: Optional[Sequence[int]] = None
+                   ) -> SmallPoset:
+    idxs = list(range(len(view.nodes))) if indices is None else list(indices)
+    pos = {v: k for k, v in enumerate(idxs)}
+    rows = []
+    for i in idxs:
+        r = 0
+        for j in idxs:
+            if view.leq(i, j):
+                r |= 1 << pos[j]
+        rows.append(r)
+    return SmallPoset(len(idxs), tuple(rows))
+
+
+# -- fixtures -----------------------------------------------------------------
 
 
 def make_f0() -> PosetFragment:
@@ -31,7 +301,7 @@ def brute_fhp(fragment: PosetFragment, a_mask: int, b_mask: int) -> bool:
     idxs = list(bits_of(a_mask))
     for size in range(1, len(idxs) + 1):
         for combo in combinations(idxs, size):
-            if fragment.mub([h1(i) for i in combo]) == b_elems:
+            if mub(fragment, [h1(i) for i in combo]) == b_elems:
                 return True
     return False
 
@@ -94,7 +364,7 @@ def brute_j3(fragment: PosetFragment, m: int, f_mask: int, cap: int):
     pool = [i for i in range(fragment.n1) if not f_mask >> i & 1]
     for size in range(1, cap + 1):
         for combo in combinations(pool, size):
-            if fragment.mub([h1(i) for i in combo]) == target:
+            if mub(fragment, [h1(i) for i in combo]) == target:
                 return mask_of(combo)
     return None
 
@@ -109,9 +379,22 @@ def brute_k_sets(fragment: PosetFragment, x: int, cap: int):
         for size in range(1, cap + 1):
             for combo in combinations(range(fragment.n1), size):
                 if (x in combo
-                        and fragment.mub([h1(i) for i in combo]) == target):
+                        and mub(fragment, [h1(i) for i in combo]) == target):
                     out.append(finite_node(mask_of(combo), 1 << b))
     return out
+
+
+def find_special_t_recipe(fragment: PosetFragment, s_mask: int,
+                          t_mask: int) -> Optional[int]:
+    """``find_special_t`` by the constructive recipe: find a point v above
+    nothing in S, then take the lowest curve below T plus v."""
+    for v in range(fragment.n2):
+        if fragment.down[v] & s_mask:
+            continue
+        cands = fragment.common_h1_below(t_mask | (1 << v))
+        if cands:
+            return (cands & -cands).bit_length() - 1
+    return None
 
 
 def mask_image_by_generators(mask: int, table) -> int:

@@ -9,6 +9,7 @@ and over the full upper sets of a couple of two-point curves, at support
 the quadratic pairwise ones.
 """
 
+import json
 import math
 import random as random_module
 import time
@@ -16,18 +17,18 @@ from itertools import combinations
 
 import pytest
 
-from strposet import (DomainSpec, GeneratorParams, PosetFragment, SmallPoset,
+from strposet import (DomainSpec, GeneratorParams, PosetFragment,
                       affine_plane_fragment, bits_of, counting_formula,
                       cusp_fragment, detect_I2, down_set_in_fiber,
                       dumps_fragment, enumerate_fiber, fiber_height_positive,
                       find_p5_witness, finite_node, fragment_from_json,
                       has_strictly_smaller, induce_str_iso, load_fragment,
                       mask_of, mu_statistic, parity_mub_check, random_fragment,
-                      relabel, round_trip, save_fragment,
-                      small_poset_isomorphic, str_leq, str_leq_bruteforce,
-                      verify_factorization, w_max, witness_battery)
+                      relabel, round_trip, save_fragment, str_leq,
+                      str_leq_bruteforce, verify_factorization, w_max,
+                      witness_battery)
 
-import json
+from helpers import SmallPoset, small_poset_isomorphic, to_small_poset
 
 
 def verdict(index, name, ok, detail=""):
@@ -242,7 +243,7 @@ def test_i2_detection(corpus, big_fibers):
                     continue
                 ds = down_set_in_fiber(frag, node)
                 shaped = (len(ds) == 3 and
-                          small_poset_isomorphic(ds.to_small_poset(), i2))
+                          small_poset_isomorphic(to_small_poset(ds), i2))
                 assert detect_I2(frag, node) == shaped, (name, node)
                 checked += 1
                 hits += shaped

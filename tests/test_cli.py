@@ -105,6 +105,8 @@ def test_gen_config_file_with_flag_override(capsys, files):
       "--n1", "8", "--n2", "3"), "/nonexistent.json"),
     (("gen", "--model", "affine", "-p", "5", "-d", "3"),
      "at least 3380 curves"),
+    (("gen", "--model", "random", "--n1", "4000", "--n2", "4000"),
+     "tier size exceeds cap 512 (n1=4000, n2=4000)"),
 ])
 def test_gen_rejects(capsys, argv, fragment_of_err):
     code, out, err = run(capsys, *argv)

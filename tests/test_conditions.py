@@ -8,7 +8,7 @@ from strposet import (GeneratorParams, affine_plane_fragment, check_j1,
                       survey_j3, survey_p5, witness_battery)
 
 from conftest import fragments
-from helpers import brute_j3, make_f0, make_f3
+from helpers import brute_j3, find_special_t_recipe, make_f0, make_f3
 
 
 # -- P conditions -------------------------------------------------------------
@@ -151,11 +151,16 @@ def test_find_special_t_routes_agree(frag, s_mask, t_mask):
     t_mask &= frag.all_h2_mask
     if not s_mask or not t_mask:
         return
-    # the implementation cross-checks its two routes and raises on mismatch
     got = find_special_t(frag, s_mask, t_mask)
     if got is not None:
         assert not s_mask >> got & 1
         assert t_mask & ~frag.up[got] == 0
+    recipe = find_special_t_recipe(frag, s_mask, t_mask)
+    if recipe is not None:
+        # a recipe result is a valid witness, and the direct scan finds one
+        assert not s_mask >> recipe & 1
+        assert t_mask & ~frag.up[recipe] == 0
+        assert got is not None
 
 
 def test_battery_f0(f0):

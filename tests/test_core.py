@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strposet import (DEFAULT_MAX_TIER, HARD_MAX_TIER, ElementId, IsoMap,
-                      MIN_ELEMENT, PosetFragment, SmallPoset, Tier, bits_of,
-                      h1, h2, longest_chain_length, mask_of, relabel,
-                      small_poset_isomorphic, validate)
+from strposet import (HARD_MAX_TIER, IsoMap, PosetFragment, bits_of,
+                      mask_of, relabel, validate)
 from strposet.core import mask_image
 
 from conftest import fragments
-from helpers import make_f0, mask_image_by_generators
+from helpers import (MIN_ELEMENT, ElementId, SmallPoset, Tier, elements, h1,
+                     h2, height, iso_apply, leq, longest_chain_length,
+                     lower_set, make_f0, mask_image_by_generators, mub,
+                     small_poset_isomorphic, upper_set)
 
 
 def test_element_ids():
@@ -34,8 +35,6 @@ def test_construction_and_masks(f0):
     assert f0.up == (0b11, 0b11, 0b01)
     assert f0.down == (0b111, 0b011)
     assert f0.all_h1_mask == 0b111 and f0.all_h2_mask == 0b11
-    assert f0.h2_above(0) == 0b11
-    assert f0.h1_below(1) == 0b011
     assert f0.common_h2_above(0b011) == 0b11
     assert f0.common_h2_above(0b101) == 0b01
     assert f0.common_h2_above(0) == 0b11
@@ -57,14 +56,14 @@ def test_constructor_validation():
         PosetFragment(2, 2, [(0, -1)])
     with pytest.raises(ValueError):
         PosetFragment(2, 2, [(0, 0)], h1_labels=("only-one",))
-    with pytest.raises(ValueError):
-        PosetFragment(DEFAULT_MAX_TIER + 1, 1, [])
-    with pytest.raises(ValueError):
-        PosetFragment(HARD_MAX_TIER + 1, 1, [], max_size=HARD_MAX_TIER + 1)
-    # explicit max_size admits wider tiers up to the hard cap
-    wide = PosetFragment(DEFAULT_MAX_TIER + 1, 1, [],
-                         max_size=DEFAULT_MAX_TIER + 1)
-    assert wide.n1 == DEFAULT_MAX_TIER + 1
+    with pytest.raises(ValueError, match="nonnegative"):
+        PosetFragment(-1, 1, [])
+    for n1, n2 in ((HARD_MAX_TIER + 1, 1), (1, HARD_MAX_TIER + 1)):
+        with pytest.raises(ValueError, match=f"exceeds cap {HARD_MAX_TIER}"):
+            PosetFragment(n1, n2, [])
+    # every fragment admits tiers up to the one cap
+    wide = PosetFragment(HARD_MAX_TIER, HARD_MAX_TIER, [])
+    assert (wide.n1, wide.n2) == (HARD_MAX_TIER, HARD_MAX_TIER)
 
 
 def test_immutable(f0):
@@ -92,43 +91,43 @@ def test_label_resolution(f0):
 
 
 def test_leq_frozen(f0):
-    assert f0.leq(MIN_ELEMENT, h2(0))
-    assert f0.leq(MIN_ELEMENT, MIN_ELEMENT)
-    assert f0.leq(h1(0), h2(1))
-    assert not f0.leq(h1(2), h2(1))
-    assert not f0.leq(h2(0), h1(0))
-    assert f0.leq(h2(0), h2(0))
-    assert not f0.leq(h1(0), h1(1))
+    assert leq(f0, MIN_ELEMENT, h2(0))
+    assert leq(f0, MIN_ELEMENT, MIN_ELEMENT)
+    assert leq(f0, h1(0), h2(1))
+    assert not leq(f0, h1(2), h2(1))
+    assert not leq(f0, h2(0), h1(0))
+    assert leq(f0, h2(0), h2(0))
+    assert not leq(f0, h1(0), h1(1))
 
 
 def test_upper_lower_sets(f0):
-    assert f0.upper_set([h1(0), h1(1)], strict=True) == {h2(0), h2(1)}
-    assert f0.upper_set([h1(2)]) == {h1(2), h2(0)}
-    assert f0.lower_set([h2(0), h2(1)], strict=True) == \
+    assert upper_set(f0, [h1(0), h1(1)], strict=True) == {h2(0), h2(1)}
+    assert upper_set(f0, [h1(2)]) == {h1(2), h2(0)}
+    assert lower_set(f0, [h2(0), h2(1)], strict=True) == \
         {MIN_ELEMENT, h1(0), h1(1)}
-    assert f0.lower_set([h2(0)]) == \
+    assert lower_set(f0, [h2(0)]) == \
         {MIN_ELEMENT, h1(0), h1(1), h1(2), h2(0)}
 
 
 def test_mub_frozen(f0):
-    assert f0.mub([h1(0), h1(1)]) == {h2(0), h2(1)}
-    assert f0.mub([h1(0), h1(2)]) == {h2(0)}
-    assert f0.mub([h1(0)]) == {h1(0)}
-    assert f0.mub([MIN_ELEMENT, h1(0)]) == {h1(0)}
-    assert f0.mub([h1(0), h1(1), h1(2)]) == {h2(0)}
+    assert mub(f0, [h1(0), h1(1)]) == {h2(0), h2(1)}
+    assert mub(f0, [h1(0), h1(2)]) == {h2(0)}
+    assert mub(f0, [h1(0)]) == {h1(0)}
+    assert mub(f0, [MIN_ELEMENT, h1(0)]) == {h1(0)}
+    assert mub(f0, [h1(0), h1(1), h1(2)]) == {h2(0)}
     with pytest.raises(ValueError):
-        f0.mub([])
+        mub(f0, [])
 
 
 def test_mub_empty_uppers():
     f = PosetFragment(2, 2, [(0, 0), (1, 1)])
-    assert f.mub([h1(0), h1(1)]) == set()
+    assert mub(f, [h1(0), h1(1)]) == set()
 
 
 def test_heights_and_dim(f0):
-    assert f0.height(MIN_ELEMENT) == 0
-    assert f0.height(h1(1)) == 1
-    assert f0.height(h2(1)) == 2
+    assert height(f0, MIN_ELEMENT) == 0
+    assert height(f0, h1(1)) == 1
+    assert height(f0, h2(1)) == 2
     assert f0.dim() == 2
     flat = PosetFragment(2, 1, [])
     assert flat.dim() == 1
@@ -150,7 +149,7 @@ def test_validate(f0):
 
 
 def test_elements(f0):
-    elems = f0.elements()
+    elems = elements(f0)
     assert elems[0] == MIN_ELEMENT
     assert len(elems) == 6
     assert h1(2) in elems and h2(1) in elems
@@ -180,7 +179,7 @@ def test_relabel_explicit_permutation(f0):
 def test_isomap_validation(f0):
     ident = IsoMap(f0, f0, (0, 1, 2), (0, 1))
     assert ident.is_identity
-    assert ident.apply(h1(2)) == h1(2)
+    assert iso_apply(ident, h1(2)) == h1(2)
     with pytest.raises(ValueError):
         IsoMap(f0, f0, (2, 1, 0), (0, 1))  # breaks incidence
     with pytest.raises(ValueError):
@@ -222,31 +221,31 @@ def test_small_poset():
 @given(fragments())
 @settings(max_examples=60)
 def test_leq_is_partial_order(frag):
-    elems = frag.elements()
+    elems = elements(frag)
     for x in elems:
-        assert frag.leq(x, x)
+        assert leq(frag, x, x)
     for x in elems:
         for y in elems:
-            if frag.leq(x, y) and frag.leq(y, x):
+            if leq(frag, x, y) and leq(frag, y, x):
                 assert x == y
             for z in elems:
-                if frag.leq(x, y) and frag.leq(y, z):
-                    assert frag.leq(x, z)
+                if leq(frag, x, y) and leq(frag, y, z):
+                    assert leq(frag, x, z)
 
 
 @given(fragments())
 @settings(max_examples=60)
 def test_mub_properties(frag):
-    elems = [e for e in frag.elements() if e != MIN_ELEMENT]
+    elems = [e for e in elements(frag) if e != MIN_ELEMENT]
     if not elems:
         return
     sample = elems[: 4]
-    ms = frag.mub(sample)
+    ms = mub(frag, sample)
     for m in ms:
-        assert all(frag.leq(x, m) for x in sample)
+        assert all(leq(frag, x, m) for x in sample)
         # minimality: no other common upper strictly below m
         for other in ms:
-            assert other == m or not frag.leq(other, m)
+            assert other == m or not leq(frag, other, m)
 
 
 @given(fragments(), st.integers(0, 2 ** 32))

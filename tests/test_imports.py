@@ -1,0 +1,56 @@
+"""Every import in `src/strposet` is used: a stdlib `ast` scan."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "strposet"
+
+
+def unused_imports(source: str) -> list[str]:
+    """``"<line>: <name>"`` for each imported name the module never reads.
+
+    A name counts as read when it appears as a bare name anywhere in the
+    module (attribute chains start with one) or is listed in ``__all__``.
+    ``from __future__`` imports are compiler directives and are skipped.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = \
+                    node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{line}: {name}" for name, line in
+            sorted(imported.items(), key=lambda item: item[1])
+            if name not in used]
+
+
+def test_unused_import_scan():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from typing import Iterable, Optional\n"
+        "from .core import bits_of, mask_of\n"
+        "__all__ = ['mask_of']\n"
+        "def f(x: Optional[int]) -> str:\n"
+        "    return os.path.join(js.dumps(x))\n")
+    assert unused_imports(source) == ["4: Iterable", "5: bits_of"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

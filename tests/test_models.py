@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strposet import (FragmentFormatError, GeneratorParams,
+from strposet import (FragmentFormatError, GeneratorParams, PosetFragment,
                       affine_plane_fragment, check_j1, check_j2, check_j4,
                       cusp_fragment, dumps_fragment, fragment_from_json,
-                      fragment_to_json, h1, h2, json_text, load_fragment,
+                      fragment_to_json, json_text, load_fragment,
                       mu_statistic, random_fragment, save_fragment, validate)
 
-from helpers import eval_poly_label, make_f3
+from helpers import eval_poly_label, h1, h2, make_f3, mub
 
 
 # -- parameter validation -----------------------------------------------------
@@ -26,6 +26,7 @@ from helpers import eval_poly_label, make_f3
     (dict(n1=8, n2=3, min_updeg=0), "bad generator"),
     (dict(n1=8, n2=2, min_updeg=3), "min_updeg cannot exceed"),
     (dict(n1=4, n2=3, planted_pairs_per_point=3), "too small"),
+    (dict(n1=600, n2=3), r"tier size exceeds cap 512 \(n1=600, n2=3\)"),
 ])
 def test_generator_params_rejects(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
@@ -149,9 +150,9 @@ def test_affine_rejects_bad_inputs():
 def test_cusp_matches_hand_build():
     frag = cusp_fragment()
     assert frag == make_f3()
-    assert frag.mub({h1(1), h1(2)}) == frozenset({h2(0)})
-    assert frag.mub({h1(0), h1(1)}) == frozenset({h2(0), h2(1)})
-    assert frag.mub({h1(0), h1(2)}) == frozenset({h2(0), h2(2)})
+    assert mub(frag, {h1(1), h1(2)}) == frozenset({h2(0)})
+    assert mub(frag, {h1(0), h1(1)}) == frozenset({h2(0), h2(1)})
+    assert mub(frag, {h1(0), h1(2)}) == frozenset({h2(0), h2(2)})
 
 
 # -- persistence --------------------------------------------------------------
@@ -242,9 +243,12 @@ def test_loader_rejects_garbage_file(tmp_path):
         load_fragment(path)
 
 
-def test_loader_honors_max_size_override():
-    obj = fragment_to_json(cusp_fragment())
-    frag = fragment_from_json(obj, max_size=3)
-    assert frag.n1 == 3
-    with pytest.raises(FragmentFormatError):
-        fragment_from_json(obj, max_size=2)
+def test_loader_and_constructor_share_the_tier_cap():
+    msg = r"tier size exceeds cap 512 \(n1=513, n2=1\)"
+    with pytest.raises(ValueError, match=msg):
+        PosetFragment(513, 1, [])
+    obj = {"version": 1, "n1": 513, "n2": 1, "incidence": []}
+    with pytest.raises(FragmentFormatError, match=msg):
+        fragment_from_json(obj)
+    obj["n1"] = 512
+    assert fragment_from_json(obj).n1 == 512

@@ -44,13 +44,6 @@ def test_enumerate_domain_caps(f0):
     assert len(small) == 5
     capped = enumerate_domain(f0, DomainSpec(k_cap=3, fiber_support_cap=2))
     assert len(capped) == 6           # three subsets of the first two curves
-    extra = enumerate_domain(f0, DomainSpec(
-        k_cap=1, extra_fibers=((0b11, 0b111, 3),)))
-    assert len(extra) == 5 + 6
-    # overlapping extra fibers deduplicate
-    doubled = enumerate_domain(f0, DomainSpec(
-        k_cap=1, extra_fibers=((0b01, 0b111, 1),)))
-    assert len(doubled) == 5
 
 
 # -- the node-map carrier -----------------------------------------------------
@@ -354,12 +347,6 @@ def test_verify_factorization_catches_damage(f0):
     assert len(report.violations) == 2
     first = report.violations[0]
     assert set(first) == {"node", "image", "expected", "a_star", "b_star"}
-
-
-def test_verify_factorization_sampling(f0):
-    phi = induce_str_iso(identity_iso(f0))
-    report = verify_factorization(phi, identity_iso(f0), sample_cap=4)
-    assert report.checked == 4 and report.clean
 
 
 # -- psi to phi ---------------------------------------------------------------

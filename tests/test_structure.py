@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strposet import (GeneratorParams, SmallPoset, StrNode, counting_formula,
+from strposet import (GeneratorParams, StrNode, counting_formula,
                       detect_I2, dominates_via, down_set_in_fiber, ell,
                       enumerate_fiber, eta, fiber_height_positive,
                       finite_node, format_node, has_strictly_smaller,
                       join_above, mu_statistic, parity_mub_check,
-                      random_fragment, ray_node, small_poset_isomorphic,
-                      str_leq, str_leq_bruteforce, str_member, w_max)
+                      random_fragment, ray_node, str_leq, str_leq_bruteforce,
+                      str_member, w_max)
 
 from conftest import fragment_and_member, fragments
-from helpers import (brute_down_set_size, brute_fhp, brute_has_smaller,
-                     brute_mu, make_f0, make_f3)
+from helpers import (SmallPoset, brute_down_set_size, brute_fhp,
+                     brute_has_smaller, brute_mu, down_indices,
+                     height_positive_by_order, index_of, make_f0, make_f3,
+                     small_poset_isomorphic, to_small_poset)
 
 
 def all_fibers(frag, amax=None):
@@ -229,7 +231,7 @@ def test_heights_against_literal_definitions():
                 assert has_strictly_smaller(frag, node) == \
                     brute_has_smaller(frag, a, b)
                 assert has_strictly_smaller(frag, node) == \
-                    view.height_positive_by_order(i)
+                    height_positive_by_order(view, i)
 
 
 @given(fragment_and_member())
@@ -269,11 +271,11 @@ def test_fiber_respects_support_and_amax(f0):
 
 def test_fiber_view_navigation(f3):
     view = enumerate_fiber(f3, 0b001, 0b111, 3)
-    top = view.index_of(finite_node(0b111, 0b001))
-    assert view.down_indices(top) == list(range(len(view)))
-    assert view.height_positive_by_order(top)
-    bot = view.index_of(finite_node(0b001, 0b001))
-    assert view.down_indices(bot) == [bot]
+    top = index_of(view, finite_node(0b111, 0b001))
+    assert down_indices(view, top) == list(range(len(view)))
+    assert height_positive_by_order(view, top)
+    bot = index_of(view, finite_node(0b001, 0b001))
+    assert down_indices(view, bot) == [bot]
     assert view.covers() == [(0, 6), (1, 5), (2, 5), (3, 6), (4, 6), (5, 6)]
 
 
@@ -376,7 +378,7 @@ def test_detect_I2_matches_shape():
                 if not has_strictly_smaller(frag, node):
                     continue
                 ds = down_set_in_fiber(frag, node)
-                shaped = small_poset_isomorphic(ds.to_small_poset(), i2)
+                shaped = small_poset_isomorphic(to_small_poset(ds), i2)
                 assert detect_I2(frag, node) == shaped, \
                     format_node(frag, node)
 
