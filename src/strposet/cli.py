@@ -42,9 +42,12 @@ class CliError(Exception):
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"{out}: {exc.strerror or exc}")
 
 
 def _emit_json(obj: dict, out: Optional[str]) -> None:
@@ -56,6 +59,8 @@ def _load(path: str) -> PosetFragment:
         return load_fragment(path)
     except FileNotFoundError:
         raise CliError(f"{path}: no such file")
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror or exc}")
     except FragmentFormatError as exc:
         raise CliError(f"{path}: {exc}")
 

@@ -32,30 +32,20 @@ class ConditionReport:
                 "witnesses": list(self.witnesses), "note": self.note}
 
 
-def _updeg_failures(fragment: PosetFragment, k: int) -> list[dict]:
-    out = []
-    for i in range(fragment.n1):
-        c = fragment.up[i].bit_count()
-        if c < k:
-            out.append({"x": fragment.h1_labels[i], "points_above": c})
-    return out
-
-
 def check_p1_to_p4(fragment: PosetFragment, k: int = 2
                    ) -> list[ConditionReport]:
     """Reports for the four countable-poset conditions, one per condition.
 
     P1 and the "finitely many" half of P4 hold by representation; P4 instead
-    reports the observed bound.  P3 uses the threshold k in place of
-    "infinitely many".
+    reports the observed bound.  P2 is J1's dimension test and P3 is J2's
+    updegree test, with the threshold k in place of "infinitely many".
     """
+    j1, j2 = check_j1(fragment), check_j2(fragment, k)
     reports = [ConditionReport(
         "P1", True, {"note": "single minimum and countability hold by "
                              "construction"})]
-    reports.append(ConditionReport("P2", fragment.dim() == 2,
-                                   {"dim": fragment.dim()}))
-    p3_fail = _updeg_failures(fragment, k)
-    reports.append(ConditionReport("P3", not p3_fail, {"k": k}, p3_fail))
+    reports.append(ConditionReport("P2", j1.holds, {"dim": j1.params["dim"]}))
+    reports.append(ConditionReport("P3", j2.holds, {"k": k}, j2.witnesses))
     best = 0
     best_pair = None
     for i, j in combinations(range(fragment.n1), 2):
@@ -127,7 +117,12 @@ def check_j1(fragment: PosetFragment) -> ConditionReport:
 
 
 def check_j2(fragment: PosetFragment, k: int = 2) -> ConditionReport:
-    failures = _updeg_failures(fragment, k)
+    """Every curve lies below at least k points."""
+    failures = []
+    for i in range(fragment.n1):
+        c = fragment.up[i].bit_count()
+        if c < k:
+            failures.append({"x": fragment.h1_labels[i], "points_above": c})
     return ConditionReport("J2", not failures, {"k": k}, failures)
 
 

@@ -69,43 +69,35 @@ class ValidationReport:
 class PosetFragment:
     """Immutable fragment with ``n1`` height-one and ``n2`` height-two elements.
 
-    ``incidence`` lists the strict relations (i, j) meaning h1[i] < h2[j].
-    Labels are display strings only; they carry no order information.
+    The constructor takes the strict relations (i, j), meaning h1[i] <
+    h2[j], and keeps them only as masks: ``up[i]`` holds the points above
+    curve i, ``down[j]`` the curves below point j.  Labels are display
+    strings only; they carry no order information.
     """
 
-    __slots__ = ("n1", "n2", "incidence", "h1_labels", "h2_labels",
-                 "up", "down", "_hash")
+    __slots__ = ("n1", "n2", "h1_labels", "h2_labels", "up", "down", "_hash")
 
     def __init__(self, n1: int, n2: int,
                  incidence: Iterable[tuple[int, int]],
                  h1_labels: Optional[Sequence[str]] = None,
                  h2_labels: Optional[Sequence[str]] = None):
         check_tier_sizes(n1, n2)
-        pairs = []
-        seen = set()
-        for pair in incidence:
-            i, j = pair
+        up = [0] * n1
+        down = [0] * n2
+        for i, j in incidence:
             if not (0 <= i < n1):
                 raise ValueError(f"h1 index {i} out of range (n1={n1})")
             if not (0 <= j < n2):
                 raise ValueError(f"h2 index {j} out of range (n2={n2})")
-            if (i, j) not in seen:
-                seen.add((i, j))
-                pairs.append((i, j))
-        self.n1 = n1
-        self.n2 = n2
-        self.incidence = frozenset(pairs)
-        self.h1_labels = self._check_labels(h1_labels, n1, "x")
-        self.h2_labels = self._check_labels(h2_labels, n2, "m")
-        up = [0] * n1
-        down = [0] * n2
-        for i, j in pairs:
             up[i] |= 1 << j
             down[j] |= 1 << i
+        self.n1 = n1
+        self.n2 = n2
+        self.h1_labels = self._check_labels(h1_labels, n1, "x")
+        self.h2_labels = self._check_labels(h2_labels, n2, "m")
         self.up = tuple(up)
         self.down = tuple(down)
-        self._hash = hash((n1, n2, self.incidence,
-                           self.h1_labels, self.h2_labels))
+        self._hash = hash((n1, n2, self.up, self.h1_labels, self.h2_labels))
 
     @staticmethod
     def _check_labels(labels: Optional[Sequence[str]], n: int,
@@ -127,7 +119,7 @@ class PosetFragment:
     def __eq__(self, other) -> bool:
         return (isinstance(other, PosetFragment)
                 and self.n1 == other.n1 and self.n2 == other.n2
-                and self.incidence == other.incidence
+                and self.up == other.up
                 and self.h1_labels == other.h1_labels
                 and self.h2_labels == other.h2_labels)
 
@@ -135,8 +127,8 @@ class PosetFragment:
         return self._hash
 
     def __repr__(self) -> str:
-        return (f"PosetFragment(n1={self.n1}, n2={self.n2}, "
-                f"|incidence|={len(self.incidence)})")
+        return (f"PosetFragment(n1={self.n1}, n2={self.n2}, |incidence|="
+                f"{sum(mask.bit_count() for mask in self.up)})")
 
     # -- masks ------------------------------------------------------------
 
@@ -263,9 +255,9 @@ class IsoMap:
             raise ValueError("h1_map is not a bijection")
         if sorted(self.h2_map) != list(range(src.n2)):
             raise ValueError("h2_map is not a bijection")
-        mapped = {(self.h1_map[i], self.h2_map[j]) for i, j in src.incidence}
-        if mapped != tgt.incidence:
-            raise ValueError("map does not preserve incidence")
+        for i, up in enumerate(src.up):
+            if mask_image(up, self.h2_map) != tgt.up[self.h1_map[i]]:
+                raise ValueError("map does not preserve incidence")
 
     def h1_mask_image(self, mask: int) -> int:
         return mask_image(mask, self.h1_map)
@@ -312,7 +304,8 @@ def relabel(fragment: PosetFragment, seed: int,
         rng.shuffle(p2)
     else:
         p2 = list(h2_perm)
-    pairs = [(p1[i], p2[j]) for i, j in sorted(fragment.incidence)]
+    pairs = [(p1[i], p2[j]) for i in range(fragment.n1)
+             for j in bits_of(fragment.up[i])]
     new_h1 = [""] * fragment.n1
     new_h2 = [""] * fragment.n2
     for i, y in enumerate(p1):

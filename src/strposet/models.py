@@ -44,8 +44,21 @@ class GeneratorParams:
             raise ValueError("bad generator parameters")
         if self.n2 < self.min_updeg:
             raise ValueError("min_updeg cannot exceed the number of points")
-        if self.n1 - self.generic_curves < 2 * self.planted_pairs_per_point:
+        n_regular = self.n1 - self.generic_curves
+        if n_regular < 2 * self.planted_pairs_per_point:
             raise ValueError("n1 too small for the requested planting")
+        if self.generic_curves:
+            # A generic curve lies below every point, so a regular curve
+            # shares all its points with it: pairwise_cap of them at most.
+            cap, need = self.pairwise_cap, 2 * self.planted_pairs_per_point
+            if self.min_updeg > cap:
+                raise ValueError(f"min_updeg {self.min_updeg} exceeds "
+                                 f"pairwise_cap {cap}")
+            if need * self.n2 > cap * n_regular:
+                raise ValueError(
+                    f"planting needs {need * self.n2} curve-point pairs, but "
+                    f"{n_regular} regular curves hold at most "
+                    f"{cap * n_regular} (pairwise_cap {cap})")
 
 
 class _PlantingStuck(Exception):
@@ -294,7 +307,8 @@ def fragment_to_json(fragment: PosetFragment) -> dict:
     return {"version": 1,
             "n1": fragment.n1,
             "n2": fragment.n2,
-            "incidence": sorted([i, j] for i, j in fragment.incidence),
+            "incidence": [[i, j] for i in range(fragment.n1)
+                          for j in bits_of(fragment.up[i])],
             "labels": {"h1": list(fragment.h1_labels),
                        "h2": list(fragment.h2_labels)}}
 

@@ -123,44 +123,38 @@ def _nesting_pairs(masks: list[int]) -> set[tuple[int, int]]:
 class StrIso:
     """Bijection between enumerated node universes of two pair orders.
 
-    ``forward`` and ``inverse`` are lookup tables; the domain and codomain
-    lists make the enumerated universes explicit.  ``probes`` counts lookups
-    so consumers can report how much of the map they touched.
+    ``table`` maps each domain node to its image and is the only stored
+    form of the map; ``domain`` lists its keys in table order.  ``probes``
+    counts lookups so consumers can report how much of the map they touched.
     """
 
     def __init__(self, fragment_x: PosetFragment, fragment_y: PosetFragment,
-                 forward: dict, inverse: dict,
-                 domain: list[StrNode], codomain: list[StrNode]):
+                 table: dict):
         self.fragment_x = fragment_x
         self.fragment_y = fragment_y
-        self._forward = forward
-        self._inverse = inverse
-        self.domain = list(domain)
-        self.codomain = list(codomain)
+        self.table = table
+        self.domain = list(table)
         self.probes = 0
-
-    @classmethod
-    def from_table(cls, fragment_x: PosetFragment, fragment_y: PosetFragment,
-                   table: dict) -> "StrIso":
-        inverse = {v: k for k, v in table.items()}
-        return cls(fragment_x, fragment_y, table, inverse,
-                   list(table.keys()), list(table.values()))
 
     def map(self, node: StrNode) -> StrNode:
         self.probes += 1
-        return self._forward[node]
+        return self.table[node]
 
     def unmap(self, node: StrNode) -> StrNode:
+        """The last domain node mapped to ``node``, by a scan of the table."""
         self.probes += 1
-        return self._inverse[node]
+        for key, img in reversed(self.table.items()):
+            if img == node:
+                return key
+        raise KeyError(node)
 
     def reset_probes(self) -> None:
         self.probes = 0
 
     def validate(self, order_check: bool = True) -> list[str]:
         """Invariant audit: domain nodes and their images are member pairs,
-        the tables are inverse bijections between the universes, and the
-        order agrees in both directions.
+        no two nodes share an image, and the order agrees in both
+        directions.
 
         Distinct nodes compare only when the lower first ordinate is a
         proper subset of the upper one, so the order is tested just on the
@@ -169,9 +163,8 @@ class StrIso:
         ordinates of at most k curves that is about len(domain) * 2^k pairs.
         """
         problems = []
-        if len(set(self.domain)) != len(self.domain):
-            problems.append("domain has repeated nodes")
-        if len(set(self.codomain)) != len(self.codomain):
+        inverse = {img: node for node, img in self.table.items()}
+        if len(inverse) != len(self.table):
             problems.append("codomain has repeated nodes")
         fx, fy = self.fragment_x, self.fragment_y
         images = []
@@ -182,14 +175,10 @@ class StrIso:
             images.append(img)
             if not _is_member(fy, img):
                 problems.append(f"image of {node} is not a member pair")
-            back = self.unmap(img)
+            back = inverse[img]
+            self.probes += 1
             if back != node:
                 problems.append(f"inverse(map({node})) = {back}")
-        if set(images) != set(self.codomain):
-            problems.append("forward image differs from the codomain")
-        for img in self.codomain:
-            if self.map(self.unmap(img)) != img:
-                problems.append(f"map(inverse({img})) != {img}")
         if problems or not order_check:
             return problems
         candidates = (_nesting_pairs([u.a_mask for u in self.domain])
@@ -212,8 +201,7 @@ class StrIso:
         return problems
 
     def to_json(self) -> dict:
-        pairs = [[n.to_json(), self._forward[n].to_json()]
-                 for n in self.domain]
+        pairs = [[n.to_json(), img.to_json()] for n, img in self.table.items()]
         return {"version": 1, "pairs": pairs}
 
     @classmethod
@@ -225,19 +213,27 @@ class StrIso:
         if not (isinstance(pairs, list)
                 and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
             raise ValueError("pairs must be a list of [node, image] lists")
-        table = {StrNode.from_json(a): StrNode.from_json(b)
-                 for a, b in pairs}
-        return cls.from_table(fragment_x, fragment_y, table)
+        table = {}
+        for a, b in pairs:
+            node = StrNode.from_json(a)
+            if node in table:
+                raise ValueError(f"domain node {node} is listed twice")
+            table[node] = StrNode.from_json(b)
+        return cls(fragment_x, fragment_y, table)
+
+
+def _rho_image(rho: IsoMap, node: StrNode) -> StrNode:
+    """The node (rho A, rho B), a ray node's tag carried along."""
+    ray = None if node.ray_of is None else rho.h1_map[node.ray_of]
+    return StrNode(rho.h1_mask_image(node.a_mask),
+                   rho.h2_mask_image(node.b_mask), ray)
 
 
 def induce_str_iso(rho: IsoMap, spec: DomainSpec = DomainSpec()) -> StrIso:
     """Tabulate (A, B) -> (rho A, rho B) over the enumerated domain."""
-    table = {}
-    for node in enumerate_domain(rho.source, spec):
-        ray = None if node.ray_of is None else rho.h1_map[node.ray_of]
-        table[node] = StrNode(rho.h1_mask_image(node.a_mask),
-                              rho.h2_mask_image(node.b_mask), ray)
-    return StrIso.from_table(rho.source, rho.target, table)
+    return StrIso(rho.source, rho.target,
+                  {node: _rho_image(rho, node)
+                   for node in enumerate_domain(rho.source, spec)})
 
 
 def corrupt_str_iso(phi: StrIso, seed: int = 0) -> StrIso:
@@ -248,9 +244,9 @@ def corrupt_str_iso(phi: StrIso, seed: int = 0) -> StrIso:
     rng.shuffle(finite)
     for u, v in combinations(finite, 2):
         if u.b_mask != v.b_mask:
-            table = {n: phi.map(n) for n in phi.domain}
+            table = dict(phi.table)
             table[u], table[v] = table[v], table[u]
-            return StrIso.from_table(phi.fragment_x, phi.fragment_y, table)
+            return StrIso(phi.fragment_x, phi.fragment_y, table)
     raise ValueError("domain has no two nodes in different fibers")
 
 
@@ -308,11 +304,10 @@ def rho2_from_phi(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
             rho2[m] = target
             trace.rho2_table[m] = {"image": target,
                                    "witness": witness.to_json()}
-    values = [v for v in rho2.values()]
-    if len(rho2) == fx.n2 and (len(set(values)) != fx.n2
+    if len(rho2) == fx.n2 and (len(set(rho2.values())) != fx.n2
                                or fx.n2 != fy.n2):
         trace.conflicts.append({"kind": "rho2-not-bijective",
-                                "images": sorted(values)})
+                                "images": sorted(rho2.values())})
     return rho2, trace
 
 
@@ -339,10 +334,9 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3
     """
     trace = ReconstructionTrace()
     fx, fy = psi.fragment_x, psi.fragment_y
-    in_domain = psi._forward      # keyed by exactly the domain nodes
     rho1: dict[int, int] = {}
     for x in range(fx.n1):
-        nodes = [n for n in k_sets(fx, x, size_cap) if n in in_domain]
+        nodes = [n for n in k_sets(fx, x, size_cap) if n in psi.table]
         if not nodes:
             raise ReconstructionError(
                 f"no K-sets for curve {fx.h1_labels[x]} within the size cap "
@@ -379,7 +373,7 @@ def rho1_from_rays(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
     rho1: dict[int, int] = {}
     for x in range(fx.n1):
         ray = ray_node(fx, x)
-        if ray not in phi._forward:
+        if ray not in phi.table:
             raise ReconstructionError(
                 f"ray node for {fx.h1_labels[x]} not in the domain", trace)
         img = phi.map(ray)
@@ -445,9 +439,7 @@ def verify_factorization(phi: StrIso, rho: IsoMap) -> FactorizationReport:
     violations = []
     for node in phi.domain:
         img = phi.map(node)
-        ray = None if node.ray_of is None else rho.h1_map[node.ray_of]
-        expected = StrNode(rho.h1_mask_image(node.a_mask),
-                           rho.h2_mask_image(node.b_mask), ray)
+        expected = _rho_image(rho, node)
         if img != expected:
             violations.append(
                 {"node": node.to_json(), "image": img.to_json(),
@@ -465,10 +457,10 @@ def extend_psi_to_phi(psi: StrIso, size_cap: int = 3) -> StrIso:
     if trace.conflicts:
         raise ReconstructionError("cannot extend: see trace", trace)
     fx, fy = psi.fragment_x, psi.fragment_y
-    table = {node: psi.map(node) for node in psi.domain if not node.is_ray}
+    table = {node: img for node, img in psi.table.items() if not node.is_ray}
     for x in range(fx.n1):
         table[ray_node(fx, x)] = ray_node(fy, rho1[x])
-    return StrIso.from_table(fx, fy, table)
+    return StrIso(fx, fy, table)
 
 
 # -- relabel round trip -------------------------------------------------------

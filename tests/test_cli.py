@@ -107,6 +107,10 @@ def test_gen_config_file_with_flag_override(capsys, files):
      "at least 3380 curves"),
     (("gen", "--model", "random", "--n1", "4000", "--n2", "4000"),
      "tier size exceeds cap 512 (n1=4000, n2=4000)"),
+    (("gen", "--model", "random", "--n1", "512", "--n2", "512"),
+     "planting needs 2048 curve-point pairs"),
+    (("gen", "--model", "random", "--n1", "10", "--n2", "5",
+      "--min-updeg", "4"), "min_updeg 4 exceeds pairwise_cap 3"),
 ])
 def test_gen_rejects(capsys, argv, fragment_of_err):
     code, out, err = run(capsys, *argv)
@@ -143,6 +147,19 @@ def test_check_bad_inputs(capsys, files):
         fh.write("{]")
     code, _, err = run(capsys, "check", garbage)
     assert code == 3 and "not valid JSON" in err
+
+
+def test_path_errors_exit_3(capsys, files):
+    # any OSError on an input or output path is a parse failure naming it
+    folder = str(files["dir"])
+    code, out, err = run(capsys, "check", folder)
+    assert code == 3 and out == ""
+    assert err == f"error: {folder}: Is a directory\n"
+    target = str(files["dir"] / "missing" / "x.json")
+    code, out, err = run(capsys, "fiber", files["f0"], "--b", "d",
+                         "-o", target)
+    assert code == 3 and out == ""
+    assert err == f"error: {target}: No such file or directory\n"
 
 
 # -- fiber, mu, str-leq ---------------------------------------------------------
@@ -289,7 +306,7 @@ def test_reconstruct_rejects_nonmember_images(capsys, files):
     table = {finite_node(0b001, 0b01): finite_node(0b100, 0b10)}
     broken = str(files["dir"] / "broken_map.json")
     with open(broken, "w", encoding="utf-8") as fh:
-        json.dump(StrIso.from_table(f0, f0, table).to_json(), fh)
+        json.dump(StrIso(f0, f0, table).to_json(), fh)
     code, _, err = run(capsys, "reconstruct", files["f0"], files["f0"],
                        "--map", broken)
     assert code == 3 and "not a member pair" in err
@@ -414,6 +431,7 @@ def test_output_file_matches_stdout(capsys, files):
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{index512_map}"],
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{scalar_pairs_map}"],
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{curve7_domain_map}"],
+    ["reconstruct", "{ag21}", "{ag21}", "--map", "{repeated_node_map}"],
 ])
 def test_library_value_errors_exit_3(capsys, files, tmp_path, argv):
     save_fragment(PosetFragment(2, 1, [(0, 0), (1, 0)]),
@@ -427,7 +445,9 @@ def test_library_value_errors_exit_3(capsys, files, tmp_path, argv):
             "bool_map": [[{"a": [True], "b": [0]}, valid]],
             "index512_map": [[{"a": [512], "b": [0]}, valid]],
             "scalar_pairs_map": [5],
-            "curve7_domain_map": [[node, valid]]}
+            "curve7_domain_map": [[node, valid]],
+            "repeated_node_map": [[valid, valid],
+                                  [valid, {"a": [1], "b": [0], "ray": None}]]}
     for name, pairs in maps.items():
         with open(tmp_path / f"{name}.json", "w", encoding="utf-8") as fh:
             json.dump({"version": 1, "pairs": pairs}, fh)

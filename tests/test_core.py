@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strposet import (HARD_MAX_TIER, IsoMap, PosetFragment, bits_of,
-                      mask_of, relabel, validate)
+                      fragment_to_json, mask_of, relabel, validate)
 from strposet.core import mask_image
 
 from conftest import fragments
 from helpers import (MIN_ELEMENT, ElementId, SmallPoset, Tier, elements, h1,
                      h2, height, iso_apply, leq, longest_chain_length,
                      lower_set, make_f0, mask_image_by_generators, mub,
+                     pair_set_json, pair_set_preserved,
                      small_poset_isomorphic, upper_set)
 
 
@@ -272,6 +273,48 @@ def test_iso_mask_images_match_generator_route(frag, seed, data):
     b = data.draw(st.integers(0, frag.all_h2_mask))
     assert iso.h1_mask_image(a) == mask_image_by_generators(a, iso.h1_map)
     assert iso.h2_mask_image(b) == mask_image_by_generators(b, iso.h2_map)
+
+
+@st.composite
+def pair_lists(draw, n1: int, n2: int):
+    return draw(st.lists(st.tuples(st.integers(0, n1 - 1),
+                                   st.integers(0, n2 - 1)),
+                         max_size=2 * n1 * n2))
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_masks_match_pair_set_oracle(data):
+    # The relation is stored only as up/down masks; identity, the file
+    # writer and the IsoMap decision must agree with the literal pair set.
+    n1, n2 = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    pairs = data.draw(pair_lists(n1, n2))
+    frag = PosetFragment(n1, n2, pairs)
+    assert fragment_to_json(frag) == pair_set_json(
+        n1, n2, pairs, frag.h1_labels, frag.h2_labels)
+    assert repr(frag) == (f"PosetFragment(n1={n1}, n2={n2}, "
+                          f"|incidence|={len(set(pairs))})")
+    other_pairs = data.draw(st.one_of(
+        pair_lists(n1, n2),
+        st.permutations(pairs + pairs[:2]).map(list)))
+    other = PosetFragment(n1, n2, other_pairs)
+    assert (frag == other) == (set(pairs) == set(other_pairs))
+    if frag == other:
+        assert hash(frag) == hash(other)
+    h1_map = data.draw(st.permutations(range(n1)))
+    h2_map = data.draw(st.permutations(range(n2)))
+    target_pairs = data.draw(st.one_of(
+        st.just([(h1_map[i], h2_map[j]) for i, j in pairs]),
+        pair_lists(n1, n2)))
+    target = PosetFragment(n1, n2, target_pairs)
+    try:
+        IsoMap(frag, target, tuple(h1_map), tuple(h2_map))
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == "map does not preserve incidence"
+        accepted = False
+    assert accepted == pair_set_preserved(pairs, target_pairs,
+                                          h1_map, h2_map)
 
 
 def test_fragment_json_ignores_labels_in_eq():

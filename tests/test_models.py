@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 
@@ -27,6 +28,11 @@ from helpers import eval_poly_label, h1, h2, make_f3, mub
     (dict(n1=8, n2=2, min_updeg=3), "min_updeg cannot exceed"),
     (dict(n1=4, n2=3, planted_pairs_per_point=3), "too small"),
     (dict(n1=600, n2=3), r"tier size exceeds cap 512 \(n1=600, n2=3\)"),
+    # beside a generic curve a regular curve has at most pairwise_cap points
+    (dict(n1=100, n2=75), r"planting needs 300 curve-point pairs, but 99 "
+                          r"regular curves hold at most 297 \(pairwise_cap 3\)"),
+    (dict(n1=512, n2=512), "planting needs 2048 curve-point pairs"),
+    (dict(n1=10, n2=5, min_updeg=4), "min_updeg 4 exceeds pairwise_cap 3"),
 ])
 def test_generator_params_rejects(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
@@ -196,6 +202,34 @@ def test_json_round_trip(tmp_path):
         assert loaded == frag
         assert loaded.h1_labels == frag.h1_labels
         assert dumps_fragment(loaded) == path.read_text(encoding="utf-8")
+
+
+# sha256 of dumps_fragment, computed while fragments still stored their
+# relation as a frozenset of pairs next to the masks
+FRAGMENT_DIGESTS = {
+    "cusp": "1406ca5b32e25a9ff0e7aae5fd0fe7163012003f78f954c80fe0cfde9bb91e9f",
+    "ag21": "97a8b3bf7d16359646336b1001564a34578797ddda6aafad8e288e73ff34fc42",
+    "ag32": "4937939fc33968d103777c2e86f42f47348371e3376710dff7d666fb4fbe74d3",
+    "random-12x3-p3-s1":
+        "dad32414653058d5a60c94ed088915f671fbe30e2f286bd45bd6e3aef0a31d0b",
+    "random-30x6-s7":
+        "df0c5bee7b3d50067279f5da5627be1c1c95d6bd840a1703bf38539878dcc32d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAGMENT_DIGESTS))
+def test_dumps_bytes_frozen(name):
+    make = {
+        "cusp": cusp_fragment,
+        "ag21": lambda: affine_plane_fragment(2, 1),
+        "ag32": lambda: affine_plane_fragment(3, 2),
+        "random-12x3-p3-s1": lambda: random_fragment(GeneratorParams(
+            n1=12, n2=3, planted_pairs_per_point=3, seed=1)),
+        "random-30x6-s7": lambda: random_fragment(
+            GeneratorParams(n1=30, n2=6, seed=7)),
+    }[name]
+    text = dumps_fragment(make())
+    assert hashlib.sha256(text.encode()).hexdigest() == FRAGMENT_DIGESTS[name]
 
 
 def test_dumps_is_stable():

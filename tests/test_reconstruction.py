@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import strategies as st
 
 from strposet import (DomainSpec, GeneratorParams, IsoMap, PosetFragment,
                       ReconstructionError, StrIso, StrNode, affine_plane_fragment,
-                      build_rho, corrupt_str_iso, enumerate_domain,
-                      extend_psi_to_phi, finite_node, format_node,
-                      induce_str_iso, k_sets, random_fragment, ray_node,
-                      relabel, rho1_from_psi, rho1_from_rays, rho2_from_phi,
-                      round_trip, verify_factorization)
+                      build_rho, corrupt_str_iso, dumps_fragment,
+                      enumerate_domain, extend_psi_to_phi, finite_node,
+                      format_node, induce_str_iso, json_text, k_sets,
+                      random_fragment, ray_node, relabel, rho1_from_psi,
+                      rho1_from_rays, rho2_from_phi, round_trip,
+                      verify_factorization)
 
 from conftest import fragments
 from helpers import brute_k_sets, validate_all_pairs
@@ -65,6 +67,26 @@ def test_striso_probes_and_json(f0):
         StrIso.from_json(f0, f0, {"version": 7})
 
 
+def test_striso_json_bytes_frozen(ag21):
+    # sha256 computed while StrIso kept forward and inverse tables plus
+    # domain and codomain lists
+    target, rho = relabel(ag21, 3)
+    assert hashlib.sha256(dumps_fragment(target).encode()).hexdigest() == \
+        "9b27496bc839ad1900992ba16b24a63c170c49858c855cdee62a64cb6c2a03b5"
+    phi = induce_str_iso(rho, DomainSpec(include_rays=True))
+    assert hashlib.sha256(json_text(phi.to_json()).encode()).hexdigest() == \
+        "bc8db7bf8ee72c6d03b86b9031e3db86587be4621cc72773ffc86add2529ea7a"
+
+
+def test_striso_from_json_refuses_repeated_domain_nodes(f0):
+    node = {"a": [0], "b": [0], "ray": None}
+    pairs = [[node, node], [node, {"a": [1], "b": [0], "ray": None}]]
+    with pytest.raises(ValueError, match=r"domain node StrNode\(a_mask=1, "
+                                         r"b_mask=1, ray_of=None\) is "
+                                         r"listed twice"):
+        StrIso.from_json(f0, f0, {"version": 1, "pairs": pairs})
+
+
 def test_striso_validate_clean(f0):
     phi = induce_str_iso(identity_iso(f0), DomainSpec(include_rays=True))
     assert phi.validate() == []
@@ -73,14 +95,15 @@ def test_striso_validate_clean(f0):
 def test_striso_validate_catches_duplicates(f0):
     a = finite_node(0b001, 0b01)
     b = finite_node(0b010, 0b01)
-    phi = StrIso.from_table(f0, f0, {a: a, b: a})
+    phi = StrIso(f0, f0, {a: a, b: a})
     problems = phi.validate(order_check=False)
     assert any("repeated" in p for p in problems)
+    assert phi.unmap(a) == b                 # the last node mapped to a
 
 
 def test_striso_validate_catches_nonmember_image(f0):
     a = finite_node(0b001, 0b01)
-    bad = StrIso.from_table(f0, f0, {a: finite_node(0b100, 0b10)})
+    bad = StrIso(f0, f0, {a: finite_node(0b100, 0b10)})
     problems = bad.validate(order_check=False)
     assert any("not a member pair" in p for p in problems)
 
@@ -98,7 +121,7 @@ def test_striso_validate_reports_nonmember_domain_nodes(ag21):
                finite_node(1 << 7, 0b1),     # no curve 7 on ag(2,1)
                finite_node(-1, 0b1))
     for node in outside:
-        phi = StrIso.from_table(ag21, ag21, {node: image})
+        phi = StrIso(ag21, ag21, {node: image})
         for order_check in (False, True):
             assert phi.validate(order_check) == [
                 f"domain node {node} is not a member pair"]
@@ -108,8 +131,8 @@ def shuffle_images(phi, seed):
     """The same domain and codomain under a random bijection."""
     images = [phi.map(n) for n in phi.domain]
     random.Random(seed).shuffle(images)
-    return StrIso.from_table(phi.fragment_x, phi.fragment_y,
-                             dict(zip(phi.domain, images)))
+    return StrIso(phi.fragment_x, phi.fragment_y,
+                  dict(zip(phi.domain, images)))
 
 
 @given(fragments(max_n1=5, max_n2=3), st.integers(0, 10 ** 6),
@@ -144,9 +167,9 @@ def test_validate_wide_first_ordinate():
     # are scanned instead
     wide = PosetFragment(60, 1, [(i, 0) for i in range(60)])
     nodes = [finite_node(1, 1), finite_node((1 << 60) - 1, 1)]
-    phi = StrIso.from_table(wide, wide, {n: n for n in nodes})
+    phi = StrIso(wide, wide, {n: n for n in nodes})
     assert phi.validate() == []
-    swapped = StrIso.from_table(wide, wide, dict(zip(nodes, nodes[::-1])))
+    swapped = StrIso(wide, wide, dict(zip(nodes, nodes[::-1])))
     assert len(swapped.validate()) == 2
 
 
@@ -196,7 +219,7 @@ def test_rho2_conflicts_on_corruption(f0):
 def test_rho2_records_nonmember_images(f0):
     table = {finite_node(0b001, 0b01): finite_node(0b100, 0b10),
              finite_node(0b001, 0b10): finite_node(0b001, 0b10)}
-    rho2, trace = rho2_from_phi(StrIso.from_table(f0, f0, table))
+    rho2, trace = rho2_from_phi(StrIso(f0, f0, table))
     assert 0 not in rho2
     assert trace.conflicts[0]["kind"] == "image-not-member"
     assert trace.conflicts[0]["m"] == "d"
@@ -205,7 +228,7 @@ def test_rho2_records_nonmember_images(f0):
 def test_rho2_requires_every_fiber(f0):
     table = {finite_node(0b001, 0b01): finite_node(0b001, 0b01)}
     with pytest.raises(ReconstructionError, match="fiber over e"):
-        rho2_from_phi(StrIso.from_table(f0, f0, table))
+        rho2_from_phi(StrIso(f0, f0, table))
 
 
 # -- curve map ----------------------------------------------------------------
@@ -294,7 +317,7 @@ def test_rho1_flags_nonray_images(f0):
     ray = ray_node(f0, 0)
     # reroute one ray onto the mask-identical finite node
     table[ray] = finite_node(0b001, 0b11)
-    rho1, trace = rho1_from_rays(StrIso.from_table(f0, f0, table))
+    rho1, trace = rho1_from_rays(StrIso(f0, f0, table))
     assert 0 not in rho1
     assert trace.conflicts[0]["kind"] == "ray-image-not-ray"
 
@@ -328,7 +351,7 @@ def test_build_rho_reports_incidence_violation(f0):
     table[ray_node(f0, 0)] = ray_node(f0, 2)
     table[ray_node(f0, 2)] = ray_node(f0, 0)
     with pytest.raises(ReconstructionError) as err:
-        build_rho(StrIso.from_table(f0, f0, table))
+        build_rho(StrIso(f0, f0, table))
     assert err.value.trace.conflicts[-1]["kind"] == "incidence-violation"
 
 
