@@ -21,10 +21,9 @@ from .models import (FragmentFormatError, GeneratorParams,
 from .reconstruction import (DomainSpec, FactorizationReport,
                              ReconstructionError, ReconstructionTrace,
                              RoundTripResult, StrIso, build_rho,
-                             corrupt_str_iso, enumerate_domain,
-                             extend_psi_to_phi, induce_str_iso, k_sets,
-                             rho1_from_psi, rho1_from_rays, rho2_from_phi,
-                             round_trip, verify_factorization)
+                             corrupt_str_iso, extend_psi_to_phi,
+                             induce_str_iso, rho1_from_psi, rho1_from_rays,
+                             rho2_from_phi, round_trip, verify_factorization)
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,7 @@ __all__ = [
     "save_fragment",
     "DomainSpec", "FactorizationReport", "ReconstructionError",
     "ReconstructionTrace", "RoundTripResult", "StrIso", "build_rho",
-    "corrupt_str_iso", "enumerate_domain", "extend_psi_to_phi",
-    "induce_str_iso", "k_sets", "rho1_from_psi", "rho1_from_rays",
-    "rho2_from_phi", "round_trip", "verify_factorization",
+    "corrupt_str_iso", "extend_psi_to_phi", "induce_str_iso",
+    "rho1_from_psi", "rho1_from_rays", "rho2_from_phi", "round_trip",
+    "verify_factorization",
 ]

@@ -274,11 +274,6 @@ class IsoMap:
             inv2[y] = j
         return IsoMap(self.target, self.source, tuple(inv1), tuple(inv2))
 
-    @property
-    def is_identity(self) -> bool:
-        return (self.h1_map == tuple(range(len(self.h1_map)))
-                and self.h2_map == tuple(range(len(self.h2_map))))
-
     def to_json(self) -> dict:
         return {"version": 1, "h1_map": list(self.h1_map),
                 "h2_map": list(self.h2_map)}

@@ -14,12 +14,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 from .conditions import BatteryReport, witness_battery
-from .core import IsoMap, PosetFragment, bits_of, mask_of, relabel
+from .core import IsoMap, PosetFragment, bits_of, mask_image, relabel
 from .structure import StrNode, ray_node, str_leq, str_member
 
+MAX_DOMAIN_NODES = 1_000_000    # induce_str_iso refuses larger domains
 
 @dataclass(slots=True)
 class ReconstructionTrace:
@@ -60,31 +62,19 @@ class ReconstructionError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class DomainSpec:
-    """Which nodes an induced map is tabulated over.
-
-    Per point m, all pairs (K, {m}) with K drawn from the first
-    ``fiber_support_cap`` curves below m and |K| <= k_cap; optionally every
-    ray node.
-    """
+    """The nodes an induced map tabulates: per point m, every (K, {m}) with
+    K a set of at most k_cap curves below m; optionally every ray node."""
 
     k_cap: int = 3
     include_rays: bool = False
-    fiber_support_cap: Optional[int] = None
 
 
-def enumerate_domain(fragment: PosetFragment, spec: DomainSpec
-                     ) -> list[StrNode]:
-    nodes: list[StrNode] = []
-    for m in range(fragment.n2):
-        pool = list(bits_of(fragment.down[m]))
-        if spec.fiber_support_cap is not None:
-            pool = pool[:spec.fiber_support_cap]
-        for size in range(1, min(spec.k_cap, len(pool)) + 1):
-            for combo in combinations(pool, size):
-                nodes.append(StrNode(mask_of(combo), 1 << m))
-    if spec.include_rays:
-        nodes.extend(ray_node(fragment, x) for x in range(fragment.n1))
-    return list(dict.fromkeys(nodes))
+def domain_size(fragment: PosetFragment, spec: DomainSpec) -> int:
+    """The number of nodes ``spec`` tabulates, in closed form: the sum over
+    points m and sizes s <= k_cap of C(|down m|, s), plus n1 with rays."""
+    size = sum(comb(down.bit_count(), s) for down in fragment.down
+               for s in range(1, min(spec.k_cap, down.bit_count()) + 1))
+    return size + fragment.n1 if spec.include_rays else size
 
 
 def _is_member(fragment: PosetFragment, node: StrNode) -> bool:
@@ -139,14 +129,6 @@ class StrIso:
     def map(self, node: StrNode) -> StrNode:
         self.probes += 1
         return self.table[node]
-
-    def unmap(self, node: StrNode) -> StrNode:
-        """The last domain node mapped to ``node``, by a scan of the table."""
-        self.probes += 1
-        for key, img in reversed(self.table.items()):
-            if img == node:
-                return key
-        raise KeyError(node)
 
     def reset_probes(self) -> None:
         self.probes = 0
@@ -222,18 +204,31 @@ class StrIso:
         return cls(fragment_x, fragment_y, table)
 
 
-def _rho_image(rho: IsoMap, node: StrNode) -> StrNode:
-    """The node (rho A, rho B), a ray node's tag carried along."""
-    ray = None if node.ray_of is None else rho.h1_map[node.ray_of]
-    return StrNode(rho.h1_mask_image(node.a_mask),
-                   rho.h2_mask_image(node.b_mask), ray)
-
-
 def induce_str_iso(rho: IsoMap, spec: DomainSpec = DomainSpec()) -> StrIso:
-    """Tabulate (A, B) -> (rho A, rho B) over the enumerated domain."""
-    return StrIso(rho.source, rho.target,
-                  {node: _rho_image(rho, node)
-                   for node in enumerate_domain(rho.source, spec)})
+    """Tabulate (A, B) -> (rho A, rho B) fiber by fiber, K by size and then in
+    ``combinations`` order, then on ray nodes.  Each K grows from its prefix
+    with its image, one OR of a curve's image bit per node.  Refuses with
+    ValueError when ``domain_size`` exceeds MAX_DOMAIN_NODES."""
+    fx = rho.source
+    if (size := domain_size(fx, spec)) > MAX_DOMAIN_NODES:
+        raise ValueError(f"the induced domain would have {size} nodes, "
+                         f"over the cap of {MAX_DOMAIN_NODES}; lower k_cap")
+    h1 = rho.h1_map
+    table = {}
+    for m, down in enumerate(fx.down):
+        b, b_img = 1 << m, 1 << rho.h2_map[m]
+        bits = [(1 << i, 1 << h1[i]) for i in bits_of(down)]
+        level = [(0, 0, 0)]     # (K, image of K, first curve that may follow)
+        for _ in range(min(spec.k_cap, len(bits))):
+            level = [(a | bit, a_img | img_bit, j + 1)
+                     for a, a_img, lo in level
+                     for j, (bit, img_bit) in enumerate(bits[lo:], lo)]
+            table.update({StrNode(k, b): StrNode(k_img, b_img)
+                          for k, k_img, _ in level})
+    for x in range(fx.n1 if spec.include_rays else 0):
+        ray = ray_node(fx, x)
+        table[ray] = StrNode(1 << h1[x], rho.h2_mask_image(ray.b_mask), h1[x])
+    return StrIso(fx, rho.target, table)
 
 
 def corrupt_str_iso(phi: StrIso, seed: int = 0) -> StrIso:
@@ -311,44 +306,45 @@ def rho2_from_phi(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
     return rho2, trace
 
 
-def k_sets(fragment: PosetFragment, x: int, size_cap: int = 3
-           ) -> list[StrNode]:
-    """All (K, {b}) with x in K, |K| <= size_cap and mub(K) = {b}, ordered by
-    point then size then lexicographic K."""
-    if not 0 <= x < fragment.n1:
-        raise ValueError(f"h1 index {x} out of range")
-    return [StrNode(k, 1 << b) for b in bits_of(fragment.up[x])
-            for k in fragment.unique_point_sets(b, fragment.down[b],
-                                                size_cap, base=1 << x)]
-
-
 def rho1_from_psi(psi: StrIso, size_cap: int = 3
                   ) -> tuple[dict[int, int], ReconstructionTrace]:
     """Curve map by intersecting the first ordinates of K-set images.
 
-    The image intersection always contains the true image, so a singleton
-    answer is correct whenever psi really is induced by a relabeling; a
-    larger intersection is recorded as an ambiguity, never guessed at.
-    Only K-sets psi actually tabulates count as evidence; a map file over a
-    truncated domain fails here instead of deep in the lookup.
+    One pass per point lists its K-sets, the (K, {b}) with |K| <= size_cap
+    and mub(K) = {b}, by size, then lexicographic K; a curve takes those
+    holding it in that order.  Each image is checked once, and each (curve,
+    K-set) pair is one probe.  The image intersection always contains the
+    true image, so a singleton answer is correct whenever psi really is
+    induced by a relabeling; a larger intersection is recorded as an
+    ambiguity, never guessed at.  Only K-sets psi actually tabulates count
+    as evidence; a map file over a truncated domain fails here.
     """
     trace = ReconstructionTrace()
     fx, fy = psi.fragment_x, psi.fragment_y
+    nodes, held = [], [[] for _ in range(fx.n1)]  # held[x]: indices in nodes
+    for b, down in enumerate(fx.down):
+        for k in fx.unique_point_sets(b, down, size_cap):
+            if (node := StrNode(k, 1 << b)) in psi.table:
+                for x in bits_of(k):
+                    held[x].append(len(nodes))
+                nodes.append(node)
+    is_k_set: list[Optional[bool]] = [None] * len(nodes)  # at first use
     rho1: dict[int, int] = {}
-    for x in range(fx.n1):
-        nodes = [n for n in k_sets(fx, x, size_cap) if n in psi.table]
-        if not nodes:
+    for x, positions in enumerate(held):
+        if not positions:
             raise ReconstructionError(
                 f"no K-sets for curve {fx.h1_labels[x]} within the size cap "
                 f"and the map domain", trace)
-        evidence = []
-        inter = fy.all_h1_mask
-        for node in nodes:
+        evidence, inter = [], fy.all_h1_mask
+        for i in positions:
+            node = nodes[i]
             img = psi.map(node)
             evidence.append((node, img))
-            if (img.b_mask.bit_count() != 1
-                    or img.a_mask.bit_count() < 2
-                    or fy.common_h2_above(img.a_mask) != img.b_mask):
+            if is_k_set[i] is None:
+                a, b = img.a_mask, img.b_mask
+                is_k_set[i] = (b.bit_count() == 1 and a.bit_count() >= 2
+                               and fy.common_h2_above(a) == b)
+            if not is_k_set[i]:
                 trace.conflicts.append(
                     {"kind": "image-not-k-set", "x": fx.h1_labels[x],
                      "node": node.to_json(), "image": img.to_json()})
@@ -433,19 +429,24 @@ class FactorizationReport:
 
 
 def verify_factorization(phi: StrIso, rho: IsoMap) -> FactorizationReport:
-    """Check phi(A, B) = (rho A, rho B) nodewise; mismatches report the
-    pulled-back ordinates of the actual image next to A and B."""
-    inv = rho.inverse()
+    """Check phi(A, B) = (rho A, rho B) nodewise, a ray node's tag carried
+    along; mismatches report the pulled-back ordinates of the actual image
+    next to A and B.  Every node is one probe."""
+    h1, h2, inv = rho.h1_map, rho.h2_map, rho.inverse()
+    b_images: dict[int, int] = {}
     violations = []
-    for node in phi.domain:
-        img = phi.map(node)
-        expected = _rho_image(rho, node)
+    for node, img in phi.table.items():
+        a, b, ray = node
+        if (b_img := b_images.get(b)) is None:
+            b_img = b_images[b] = mask_image(b, h2)
+        expected = (mask_image(a, h1), b_img, None if ray is None else h1[ray])
         if img != expected:
             violations.append(
                 {"node": node.to_json(), "image": img.to_json(),
-                 "expected": expected.to_json(),
+                 "expected": StrNode(*expected).to_json(),
                  "a_star": list(bits_of(inv.h1_mask_image(img.a_mask))),
                  "b_star": list(bits_of(inv.h2_mask_image(img.b_mask)))})
+    phi.probes += len(phi.table)
     return FactorizationReport(len(phi.domain), violations)
 
 
@@ -492,7 +493,12 @@ def round_trip(fragment: PosetFragment, seed: int, psi_only: bool = True,
     factorization check; with ``corrupt`` the induced map is damaged first
     to exercise the conflict paths.  ``battery`` is the fragment's default
     ``witness_battery`` report, computed here unless the caller has it.
+    A k_cap that can never recover raises ValueError.
     """
+    if k_cap < (2 if psi_only else 1):
+        raise ValueError(f"k_cap {k_cap} can never recover: " + (
+            "K-sets have at least two curves; use k_cap >= 2 or rays"
+            if psi_only else "every fiber needs a node; use k_cap >= 1"))
     if battery is None:
         battery = witness_battery(fragment)
     relabeled, rho_star = relabel(fragment, seed)

@@ -13,9 +13,11 @@ from enum import IntEnum
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
-from strposet import (FiberView, IsoMap, PosetFragment, StrNode, bits_of,
-                      finite_node, mask_of, str_leq, str_leq_bruteforce,
-                      str_member)
+from strposet import (DomainSpec, FactorizationReport, FiberView, IsoMap,
+                      PosetFragment, ReconstructionError,
+                      ReconstructionTrace, StrIso, StrNode, bits_of,
+                      finite_node, mask_of, ray_node, str_leq,
+                      str_leq_bruteforce, str_member)
 
 
 # -- the element-level model of a fragment -----------------------------------
@@ -124,6 +126,11 @@ def mub(fragment: PosetFragment,
 def height(fragment: PosetFragment, x: ElementId) -> int:
     check_element(fragment, x)
     return int(x.tier)
+
+
+def is_identity(iso: IsoMap) -> bool:
+    return (iso.h1_map == tuple(range(len(iso.h1_map)))
+            and iso.h2_map == tuple(range(len(iso.h2_map))))
 
 
 def iso_apply(iso: IsoMap, x: ElementId) -> ElementId:
@@ -424,6 +431,16 @@ def mask_image_by_generators(mask: int, table) -> int:
     return mask_of(table[i] for i in bits_of(mask))
 
 
+def unmap(phi: StrIso, node: StrNode) -> StrNode:
+    """The last domain node ``phi`` maps to ``node``, by a scan of the table;
+    one probe."""
+    phi.probes += 1
+    for key, img in reversed(phi.table.items()):
+        if img == node:
+            return key
+    raise KeyError(node)
+
+
 def validate_all_pairs(phi, order_check: bool = True) -> list[str]:
     """``StrIso.validate`` as it was before the nesting index: the same audit
     with the order compared on every ordered pair of distinct domain nodes.
@@ -440,13 +457,13 @@ def validate_all_pairs(phi, order_check: bool = True) -> list[str]:
         images.append(img)
         if not str_member(phi.fragment_y, img.masks()):
             problems.append(f"image of {node} is not a member pair")
-        back = phi.unmap(img)
+        back = unmap(phi, img)
         if back != node:
             problems.append(f"inverse(map({node})) = {back}")
     if set(images) != set(codomain):
         problems.append("forward image differs from the codomain")
     for img in codomain:
-        if phi.map(phi.unmap(img)) != img:
+        if phi.map(unmap(phi, img)) != img:
             problems.append(f"map(inverse({img})) != {img}")
     if problems or not order_check:
         return problems
@@ -470,6 +487,129 @@ def validate_all_pairs(phi, order_check: bool = True) -> list[str]:
                 if len(problems) > 20:
                     return problems
     return problems
+
+
+# -- reconstruction node by node ---------------------------------------------
+#
+# The round-trip stages as the library ran them before it built induced maps
+# fiber by fiber and took one K-set pass per point: a domain list and a
+# five-call image per node, K-sets searched per (curve, point), and a
+# factorization check that rebuilds each expected node.  ``enumerate_domain``
+# lost only its ``fiber_support_cap`` truncation, which ``restrict_support``
+# now applies to a built map.
+
+
+def enumerate_domain(fragment: PosetFragment, spec: DomainSpec
+                     ) -> list[StrNode]:
+    nodes: list[StrNode] = []
+    for m in range(fragment.n2):
+        pool = list(bits_of(fragment.down[m]))
+        for size in range(1, min(spec.k_cap, len(pool)) + 1):
+            for combo in combinations(pool, size):
+                nodes.append(StrNode(mask_of(combo), 1 << m))
+    if spec.include_rays:
+        nodes.extend(ray_node(fragment, x) for x in range(fragment.n1))
+    return list(dict.fromkeys(nodes))
+
+
+def _rho_image(rho: IsoMap, node: StrNode) -> StrNode:
+    """The node (rho A, rho B), a ray node's tag carried along."""
+    ray = None if node.ray_of is None else rho.h1_map[node.ray_of]
+    return StrNode(rho.h1_mask_image(node.a_mask),
+                   rho.h2_mask_image(node.b_mask), ray)
+
+
+def induce_str_iso_by_domain(rho: IsoMap, spec: DomainSpec = DomainSpec()
+                             ) -> StrIso:
+    """Tabulate (A, B) -> (rho A, rho B) over the enumerated domain."""
+    return StrIso(rho.source, rho.target,
+                  {node: _rho_image(rho, node)
+                   for node in enumerate_domain(rho.source, spec)})
+
+
+def restrict_support(phi: StrIso, cap: int) -> StrIso:
+    """``phi`` on its ray nodes and on the finite nodes whose first ordinate
+    lies among the first ``cap`` curves below their point, in table order:
+    the truncated domain ``DomainSpec.fiber_support_cap`` used to give."""
+    fx = phi.fragment_x
+    allowed = {1 << m: mask_of(list(bits_of(down))[:cap])
+               for m, down in enumerate(fx.down)}
+    return StrIso(fx, phi.fragment_y,
+                  {node: img for node, img in phi.table.items()
+                   if node.is_ray or not node.a_mask & ~allowed[node.b_mask]})
+
+
+def k_sets(fragment: PosetFragment, x: int, size_cap: int = 3
+           ) -> list[StrNode]:
+    """All (K, {b}) with x in K, |K| <= size_cap and mub(K) = {b}, ordered by
+    point then size then lexicographic K."""
+    if not 0 <= x < fragment.n1:
+        raise ValueError(f"h1 index {x} out of range")
+    return [StrNode(k, 1 << b) for b in bits_of(fragment.up[x])
+            for k in fragment.unique_point_sets(b, fragment.down[b],
+                                                size_cap, base=1 << x)]
+
+
+def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3
+                           ) -> tuple[dict[int, int], ReconstructionTrace]:
+    """Curve map by intersecting the first ordinates of K-set images.
+
+    The image intersection always contains the true image, so a singleton
+    answer is correct whenever psi really is induced by a relabeling; a
+    larger intersection is recorded as an ambiguity, never guessed at.
+    Only K-sets psi actually tabulates count as evidence; a map file over a
+    truncated domain fails here instead of deep in the lookup.
+    """
+    trace = ReconstructionTrace()
+    fx, fy = psi.fragment_x, psi.fragment_y
+    rho1: dict[int, int] = {}
+    for x in range(fx.n1):
+        nodes = [n for n in k_sets(fx, x, size_cap) if n in psi.table]
+        if not nodes:
+            raise ReconstructionError(
+                f"no K-sets for curve {fx.h1_labels[x]} within the size cap "
+                f"and the map domain", trace)
+        evidence = []
+        inter = fy.all_h1_mask
+        for node in nodes:
+            img = psi.map(node)
+            evidence.append((node, img))
+            if (img.b_mask.bit_count() != 1
+                    or img.a_mask.bit_count() < 2
+                    or fy.common_h2_above(img.a_mask) != img.b_mask):
+                trace.conflicts.append(
+                    {"kind": "image-not-k-set", "x": fx.h1_labels[x],
+                     "node": node.to_json(), "image": img.to_json()})
+            inter &= img.a_mask
+        entry = {"intersection": list(bits_of(inter)), "evidence": evidence}
+        if inter.bit_count() == 1:
+            rho1[x] = inter.bit_length() - 1
+            entry["image"] = rho1[x]
+        else:
+            entry["image"] = None
+            trace.conflicts.append(
+                {"kind": "rho1-ambiguous", "x": fx.h1_labels[x],
+                 "intersection": [fy.h1_labels[i] for i in bits_of(inter)]})
+        trace.rho1_table[x] = entry
+    return rho1, trace
+
+
+def verify_factorization_by_node(phi: StrIso, rho: IsoMap
+                                 ) -> FactorizationReport:
+    """Check phi(A, B) = (rho A, rho B) nodewise; mismatches report the
+    pulled-back ordinates of the actual image next to A and B."""
+    inv = rho.inverse()
+    violations = []
+    for node in phi.domain:
+        img = phi.map(node)
+        expected = _rho_image(rho, node)
+        if img != expected:
+            violations.append(
+                {"node": node.to_json(), "image": img.to_json(),
+                 "expected": expected.to_json(),
+                 "a_star": list(bits_of(inv.h1_mask_image(img.a_mask))),
+                 "b_star": list(bits_of(inv.h2_mask_image(img.b_mask)))})
+    return FactorizationReport(len(phi.domain), violations)
 
 
 def eval_poly_label(label: str, a: int, b: int, p: int) -> int:

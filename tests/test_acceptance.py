@@ -28,7 +28,8 @@ from strposet import (DomainSpec, GeneratorParams, PosetFragment,
                       str_leq_bruteforce, verify_factorization, w_max,
                       witness_battery)
 
-from helpers import SmallPoset, small_poset_isomorphic, to_small_poset
+from helpers import (SmallPoset, restrict_support, small_poset_isomorphic,
+                     to_small_poset)
 
 
 def verdict(index, name, ok, detail=""):
@@ -284,21 +285,22 @@ def test_mu_spectrum(corpus):
                    "l >= 2", True, f"values {sorted(observed)}")
 
 
-def spec_for(frag):
+def induced_for(frag, rho):
+    """The induced map, on the first 6 (4) curves below each point past
+    n1 = 6 (12)."""
     if frag.n1 <= 6:
-        return DomainSpec(k_cap=3)
+        return induce_str_iso(rho, DomainSpec(k_cap=3))
     if frag.n1 <= 12:
-        return DomainSpec(k_cap=3, fiber_support_cap=6)
-    return DomainSpec(k_cap=2, fiber_support_cap=4)
+        return restrict_support(induce_str_iso(rho, DomainSpec(k_cap=3)), 6)
+    return restrict_support(induce_str_iso(rho, DomainSpec(k_cap=2)), 4)
 
 
 def test_induced_maps_validate_and_factor(corpus):
     maps = 0
     for name, frag in corpus:
-        spec = spec_for(frag)
         for seed in range(10):
             _, rho = relabel(frag, seed)
-            phi = induce_str_iso(rho, spec)
+            phi = induced_for(frag, rho)
             assert phi.validate() == [], (name, seed)
             assert verify_factorization(phi, rho).clean, (name, seed)
             maps += 1

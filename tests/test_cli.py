@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -8,6 +9,8 @@ from strposet import (DomainSpec, GeneratorParams, PosetFragment, StrIso,
                       dumps_fragment, finite_node, induce_str_iso,
                       load_fragment, random_fragment, relabel, save_fragment)
 from strposet.cli import main
+
+from helpers import restrict_support
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +22,7 @@ def files(tmp_path_factory):
                             ["a", "b", "c"], ["d", "e"]),
         "f3": cusp_fragment(),
         "ag21": affine_plane_fragment(2, 1),
+        "ag32": affine_plane_fragment(3, 2),
         "p3": random_fragment(GeneratorParams(
             n1=12, n2=3, planted_pairs_per_point=3, seed=1)),
     }
@@ -291,7 +295,7 @@ def test_reconstruct_rejects_bad_map_files(capsys, files):
 
 def test_reconstruct_reports_truncated_map_domain(capsys, files):
     rho = relabel(load_fragment(files["p3"]), seed=7)[1]
-    phi = induce_str_iso(rho, DomainSpec(k_cap=3, fiber_support_cap=2))
+    phi = restrict_support(induce_str_iso(rho, DomainSpec(k_cap=3)), 2)
     capped = str(files["dir"] / "map_capped.json")
     with open(capped, "w", encoding="utf-8") as fh:
         json.dump(phi.to_json(), fh)
@@ -425,6 +429,11 @@ def test_output_file_matches_stdout(capsys, files):
     ["mu", "{ag21}", "--x", "x", "--m", "pt00", "--amax", "1"],
     ["roundtrip", "{one_point}", "--corrupt", "--allow-weak-battery"],
     ["roundtrip", "{bare_curve}", "--with-rays", "--allow-weak-battery"],
+    ["roundtrip", "{ag21}", "--k-cap", "0", "--allow-weak-battery"],
+    ["roundtrip", "{ag21}", "--k-cap", "0", "--with-rays",
+     "--allow-weak-battery"],
+    ["roundtrip", "{ag21}", "--k-cap", "1", "--allow-weak-battery"],
+    ["roundtrip", "{ag32}", "--k-cap", "4", "--allow-weak-battery"],
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{curve7_map}"],
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{string_map}"],
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{bool_map}"],
@@ -453,10 +462,36 @@ def test_library_value_errors_exit_3(capsys, files, tmp_path, argv):
             json.dump({"version": 1, "pairs": pairs}, fh)
     paths = {name: str(tmp_path / f"{name}.json")
              for name in ("one_point", "bare_curve", *maps)}
-    code, out, err = run(capsys, *[a.format(ag21=files["ag21"], **paths)
+    code, out, err = run(capsys, *[a.format(ag21=files["ag21"],
+                                            ag32=files["ag32"], **paths)
                                    for a in argv])
     assert code == 3 and out == ""
     assert err.startswith("error: ")
+
+
+def test_roundtrip_k_cap_refusals_name_the_cause(capsys, files):
+    code, _, err = run(capsys, "roundtrip", files["ag21"], "--k-cap", "1",
+                       "--allow-weak-battery")
+    assert code == 3 and "K-sets have at least two curves" in err
+    code, _, err = run(capsys, "roundtrip", files["ag21"], "--k-cap", "0",
+                       "--with-rays", "--allow-weak-battery")
+    assert code == 3 and "every fiber needs a node" in err
+    code, data = run_json(capsys, "roundtrip", files["ag21"], "--k-cap", "1",
+                          "--with-rays", "--allow-weak-battery")
+    assert code == 0 and data["recovered"] is True
+
+
+def test_roundtrip_refuses_oversized_domain_before_building_it(capsys,
+                                                                files):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "roundtrip", files["ag32"], "--k-cap", "4",
+                       "--allow-weak-battery")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "14262660 nodes, over the cap of 1000000" in err
+    # without the flag the weak battery refuses first
+    code, data = run_json(capsys, "roundtrip", files["ag32"], "--k-cap", "4")
+    assert code == 1 and data["refused"] is True
 
 
 def test_usage_errors_exit_2(capsys, files):

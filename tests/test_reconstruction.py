@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from strposet import (DomainSpec, GeneratorParams, IsoMap, PosetFragment,
                       ReconstructionError, StrIso, StrNode, affine_plane_fragment,
                       build_rho, corrupt_str_iso, dumps_fragment,
-                      enumerate_domain, extend_psi_to_phi, finite_node,
-                      format_node, induce_str_iso, json_text, k_sets,
-                      random_fragment, ray_node, relabel, rho1_from_psi,
-                      rho1_from_rays, rho2_from_phi, round_trip,
-                      verify_factorization)
+                      extend_psi_to_phi, finite_node, format_node,
+                      induce_str_iso, json_text, random_fragment, ray_node,
+                      relabel, rho1_from_psi, rho1_from_rays, rho2_from_phi,
+                      round_trip, verify_factorization)
+from strposet.reconstruction import MAX_DOMAIN_NODES, domain_size
 
 from conftest import fragments
-from helpers import brute_k_sets, validate_all_pairs
+from helpers import (brute_k_sets, enumerate_domain, induce_str_iso_by_domain,
+                     k_sets, restrict_support, rho1_from_psi_by_curve,
+                     unmap, validate_all_pairs, verify_factorization_by_node)
 
 
 def identity_iso(frag):
@@ -44,8 +46,35 @@ def test_enumerate_domain_caps(f0):
     small = enumerate_domain(f0, DomainSpec(k_cap=1))
     assert all(n.a_mask.bit_count() == 1 for n in small)
     assert len(small) == 5
-    capped = enumerate_domain(f0, DomainSpec(k_cap=3, fiber_support_cap=2))
-    assert len(capped) == 6           # three subsets of the first two curves
+
+
+@given(fragments(max_n1=6, max_n2=3), st.integers(-1, 7), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_domain_size_counts_the_enumeration(frag, k_cap, rays):
+    assume(not rays or all(frag.up))
+    spec = DomainSpec(k_cap=k_cap, include_rays=rays)
+    nodes = enumerate_domain(frag, spec)
+    assert domain_size(frag, spec) == len(nodes)
+    assert induce_str_iso(relabel(frag, 0)[1], spec).domain == nodes
+
+
+def test_domain_size_of_affine_plane_3_2():
+    ag32 = affine_plane_fragment(3, 2)
+    assert domain_size(ag32, DomainSpec(k_cap=2)) == 28440
+    assert domain_size(ag32, DomainSpec(k_cap=3)) == 740151
+    assert domain_size(ag32, DomainSpec(k_cap=4)) == 14262660
+    assert domain_size(ag32, DomainSpec(k_cap=2, include_rays=True)) == \
+        28440 + 273
+
+
+def test_induce_refuses_oversized_domains():
+    ag32 = affine_plane_fragment(3, 2)
+    rho = relabel(ag32, 1)[1]
+    with pytest.raises(ValueError, match=f"14262660 nodes, over the cap of "
+                                         f"{MAX_DOMAIN_NODES}"):
+        induce_str_iso(rho, DomainSpec(k_cap=4))
+    with pytest.raises(ValueError, match="14262660 nodes"):
+        round_trip(ag32, 1, k_cap=4)
 
 
 # -- the node-map carrier -----------------------------------------------------
@@ -56,7 +85,7 @@ def test_striso_probes_and_json(f0):
     assert phi.probes == 0
     node = phi.domain[0]
     assert phi.map(node) == node
-    assert phi.unmap(node) == node
+    assert unmap(phi, node) == node
     assert phi.probes == 2
     phi.reset_probes()
     assert phi.probes == 0
@@ -98,7 +127,7 @@ def test_striso_validate_catches_duplicates(f0):
     phi = StrIso(f0, f0, {a: a, b: a})
     problems = phi.validate(order_check=False)
     assert any("repeated" in p for p in problems)
-    assert phi.unmap(a) == b                 # the last node mapped to a
+    assert unmap(phi, a) == b                # the last node mapped to a
 
 
 def test_striso_validate_catches_nonmember_image(f0):
@@ -285,8 +314,7 @@ def test_rho1_needs_k_sets():
 def test_rho1_rejects_truncated_domain_cleanly(planted3):
     # support cap of 2 drops most K-sets from the tabulated domain; the
     # uncovered ones must not leak out as a raw lookup failure
-    psi = induce_str_iso(identity_iso(planted3),
-                         DomainSpec(k_cap=3, fiber_support_cap=2))
+    psi = restrict_support(induce_str_iso(identity_iso(planted3)), 2)
     with pytest.raises(ReconstructionError, match="map domain"):
         rho1_from_psi(psi)
 
@@ -370,6 +398,73 @@ def test_verify_factorization_catches_damage(f0):
     assert len(report.violations) == 2
     first = report.violations[0]
     assert set(first) == {"node", "image", "expected", "a_star", "b_star"}
+
+
+# -- fiber-wise routes against the node-by-node oracles -----------------------
+
+
+def rho1_outcome(route, psi, size_cap):
+    """Everything a curve-map route shows: the map and trace bytes, or the
+    error and the trace it carries, plus the probes spent either way."""
+    try:
+        rho1, trace = route(psi, size_cap)
+    except ReconstructionError as exc:
+        return ("error", str(exc), json_text(exc.trace.to_json()),
+                psi.probes)
+    return rho1, json_text(trace.to_json()), psi.probes
+
+
+def assert_routes_agree(rho, spec, damage="honest", seed=0):
+    phi = induce_str_iso(rho, spec)
+    slow = induce_str_iso_by_domain(rho, spec)
+    assert list(phi.table.items()) == list(slow.table.items())
+    if damage == "corrupt":
+        phi = corrupt_str_iso(phi, seed)
+    elif damage == "shuffled":
+        phi = shuffle_images(phi, seed)
+    elif damage == "truncated":
+        phi = restrict_support(phi, 2)
+
+    def copy():
+        return StrIso(phi.fragment_x, phi.fragment_y, phi.table)
+
+    for size_cap in sorted({1, 2, spec.k_cap}):
+        assert rho1_outcome(rho1_from_psi, copy(), size_cap) == \
+            rho1_outcome(rho1_from_psi_by_curve, copy(), size_cap)
+    other = relabel(rho.source, seed + 1)[1]
+    for hypothesis in (rho, other):
+        fast, slow = copy(), copy()
+        assert verify_factorization(fast, hypothesis).to_json() == \
+            verify_factorization_by_node(slow, hypothesis).to_json()
+        assert fast.probes == slow.probes == len(phi.domain)
+
+
+@given(fragments(max_n1=6, max_n2=3), st.integers(0, 10 ** 6),
+       st.integers(1, 3), st.booleans(),
+       st.sampled_from(["honest", "corrupt", "shuffled", "truncated"]))
+@settings(max_examples=200, deadline=None)
+def test_reconstruction_routes_agree(frag, seed, k_cap, rays, damage):
+    assume(not rays or all(frag.up))
+    spec = DomainSpec(k_cap=k_cap, include_rays=rays)
+    try:
+        assert_routes_agree(relabel(frag, seed)[1], spec, damage, seed)
+    except ValueError as exc:       # corrupt_str_iso needs two fibers
+        assume("different fibers" not in str(exc))
+        raise
+
+
+def test_reconstruction_routes_agree_on_planted(planted3):
+    for seed, damage in enumerate(("honest", "corrupt", "shuffled",
+                                   "truncated")):
+        for rays in (False, True):
+            assert_routes_agree(relabel(planted3, seed)[1],
+                                DomainSpec(k_cap=3, include_rays=rays),
+                                damage, seed)
+
+
+def test_reconstruction_routes_agree_on_affine_plane_3_2():
+    assert_routes_agree(relabel(affine_plane_fragment(3, 2), 1)[1],
+                        DomainSpec(k_cap=2))
 
 
 # -- psi to phi ---------------------------------------------------------------
