@@ -13,16 +13,16 @@ only fragment-level checks (dimension, updegree thresholds, finite meets) do.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import fields
 from typing import Callable, Optional
 
 from .conditions import (check_j1, check_j2, check_j4, check_p1_to_p4,
                          survey_j3, survey_p5, witness_battery)
 from .core import PosetFragment, bits_of, validate
-from .models import (FragmentFormatError, GeneratorParams,
-                     affine_plane_fragment, cusp_fragment, dumps_fragment,
-                     json_text, load_fragment, random_fragment)
+from .models import (GeneratorParams, affine_plane_fragment,
+                     check_param_fields, cusp_fragment, dumps_fragment,
+                     json_text, load_fragment, random_fragment, read_json)
 from .reconstruction import (ReconstructionError, StrIso, build_rho,
                              round_trip, verify_factorization)
 from .structure import (enumerate_fiber, finite_node, str_leq, str_member,
@@ -30,7 +30,6 @@ from .structure import (enumerate_fiber, finite_node, str_leq, str_member,
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
-EXIT_USAGE = 2
 EXIT_PARSE = 3
 
 
@@ -54,33 +53,39 @@ def _emit_json(obj: dict, out: Optional[str]) -> None:
     _emit(json_text(obj), out)
 
 
-def _load(path: str) -> PosetFragment:
+def _read(path: str, load: Callable[[str], object]):
+    """``load(path)`` for a fragment, map or config file: the only place
+    where an unreadable file, bad JSON or a parser's ValueError exits 3."""
     try:
-        return load_fragment(path)
+        return load(path)
     except FileNotFoundError:
         raise CliError(f"{path}: no such file")
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}")
-    except FragmentFormatError as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}")
 
 
-def _labels(text: str) -> list[str]:
-    parts = [p.strip() for p in text.split(",")]
-    if any(not p for p in parts):
-        raise CliError(f"empty label in {text!r}")
-    return parts
+def _load(path: str) -> PosetFragment:
+    return _read(path, load_fragment)
+
+
+def _index(resolve: Callable[[str], int], label: str) -> int:
+    """``resolve`` is the fragment's resolve_h1_label or resolve_h2_label."""
+    try:
+        return resolve(label)
+    except KeyError as exc:
+        raise CliError(str(exc.args[0]))
 
 
 def _mask(resolve: Callable[[str], int], text: str) -> int:
-    """Bitmask of the comma-separated labels; ``resolve`` is the fragment's
-    ``resolve_h1_label`` or ``resolve_h2_label``."""
+    """Bitmask of the comma-separated labels."""
+    labels = [label.strip() for label in text.split(",")]
+    if not all(labels):
+        raise CliError(f"empty label in {text!r}")
     mask = 0
-    for label in _labels(text):
-        try:
-            mask |= 1 << resolve(label)
-        except KeyError as exc:
-            raise CliError(str(exc.args[0]))
+    for label in labels:
+        mask |= 1 << _index(resolve, label)
     return mask
 
 
@@ -123,25 +128,18 @@ def cmd_gen(args) -> int:
     elif args.model == "affine":
         fragment = affine_plane_fragment(args.p, args.d)
     else:
-        fields = {}
-        if args.config is not None:
-            try:
-                with open(args.config, encoding="utf-8") as fh:
-                    fields.update(json.load(fh))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise CliError(f"{args.config}: {exc}")
-        for name in ("n1", "n2", "min_updeg", "planted_pairs_per_point",
-                     "generic_curves", "pairwise_cap", "seed"):
-            flag = getattr(args, name)
-            if flag is not None:
-                fields[name] = flag
-        if "n1" not in fields or "n2" not in fields:
-            raise CliError("random model needs --n1 and --n2 "
-                           "(or a config file providing them)")
-        try:
-            fragment = random_fragment(GeneratorParams(**fields))
-        except TypeError as exc:
-            raise CliError(str(exc))
+        def generate(params: dict) -> PosetFragment:
+            """The random model on a config's fields, overridden by flags;
+            with a config file it runs in the reader, so refusals name it."""
+            for field in fields(GeneratorParams):
+                if getattr(args, field.name) is not None:
+                    params[field.name] = getattr(args, field.name)
+            if "n1" not in params or "n2" not in params:
+                raise ValueError("random model needs --n1 and --n2 "
+                                 "(or a config file providing them)")
+            return random_fragment(GeneratorParams(**params))
+        fragment = generate({}) if args.config is None else _read(
+            args.config, lambda p: generate(check_param_fields(read_json(p))))
     _emit(dumps_fragment(fragment), args.output)
     return EXIT_OK
 
@@ -183,11 +181,8 @@ def cmd_fiber(args) -> int:
 
 def cmd_mu(args) -> int:
     fragment = _load(args.fragment)
-    try:
-        x = fragment.resolve_h1_label(args.x)
-        m = fragment.resolve_h2_label(args.m)
-    except KeyError as exc:
-        raise CliError(str(exc.args[0]))
+    x = _index(fragment.resolve_h1_label, args.x)
+    m = _index(fragment.resolve_h2_label, args.m)
     mu, ge4 = mu_statistic(fragment, x, m, args.amax)
     value = "infinity" if mu == float("inf") else mu
     _emit_json({"version": 1, "x": args.x, "m": args.m,
@@ -213,15 +208,8 @@ def cmd_str_leq(args) -> int:
 def cmd_reconstruct(args) -> int:
     fragment_x = _load(args.fragment_x)
     fragment_y = _load(args.fragment_y)
-    try:
-        with open(args.map, encoding="utf-8") as fh:
-            phi = StrIso.from_json(fragment_x, fragment_y, json.load(fh))
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise CliError(f"{args.map}: {exc}")
-    problems = phi.validate(order_check=False)
-    if problems:
-        raise CliError(f"{args.map}: " + "; ".join(problems[:5]))
-    phi.reset_probes()
+    phi = _read(args.map, lambda p: StrIso.from_json(fragment_x, fragment_y,
+                                                     read_json(p)))
     try:
         rho, trace = build_rho(phi, size_cap=args.k_cap,
                                prefer_rays=not args.psi_only)
@@ -278,15 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("-p", type=int, default=2, help="field size (affine)")
     p.add_argument("-d", type=int, default=1, help="max degree (affine)")
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--min-updeg", dest="min_updeg", type=int)
-    p.add_argument("--planted", dest="planted_pairs_per_point", type=int)
-    p.add_argument("--generic", dest="generic_curves", type=int)
-    p.add_argument("--pairwise-cap", dest="pairwise_cap", type=int)
-    p.add_argument("--seed", type=int)
+    short = {"planted_pairs_per_point": "planted", "generic_curves": "generic"}
+    for field in fields(GeneratorParams):
+        flag = short.get(field.name, field.name).replace("_", "-")
+        p.add_argument(f"--{flag}", dest=field.name, type=int)
     p.add_argument("--config", help="JSON file with generator params")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("check", help="run condition checkers")
@@ -296,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=int, default=1)
     p.add_argument("--j3-cap", dest="j3_cap", type=int, default=4)
     p.add_argument("--j4-tmax", dest="j4_tmax", type=int, default=2)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fiber", help="enumerate a fiber of the pair order")
@@ -307,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true", help="emit DOT covers")
     p.add_argument("--no-via", action="store_true",
                    help="drop witness labels from DOT edges")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_fiber)
 
     p = sub.add_parser("mu", help="smallest positive-height down-set size")
@@ -315,14 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="curve label")
     p.add_argument("--m", required=True, help="point label")
     p.add_argument("--amax", type=int, default=4)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("str-leq", help="compare two nodes of the pair order")
     p.add_argument("fragment")
     p.add_argument("--lhs", required=True, help="node, e.g. a|d,e")
     p.add_argument("--rhs", required=True, help="node, e.g. a,b|d,e")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_str_leq)
 
     p = sub.add_parser("reconstruct",
@@ -333,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-cap", dest="k_cap", type=int, default=3)
     p.add_argument("--psi-only", action="store_true",
                    help="ignore ray nodes even if the map covers them")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("roundtrip",
@@ -347,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="damage the induced map to exercise conflicts")
     p.add_argument("--allow-weak-battery", action="store_true",
                    help="proceed even if the witness battery fails")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("dot", help="fragment Hasse diagram as DOT text")
     p.add_argument("fragment")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_dot)
 
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output")
     return parser
 
 

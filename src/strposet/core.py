@@ -93,21 +93,24 @@ class PosetFragment:
             down[j] |= 1 << i
         self.n1 = n1
         self.n2 = n2
-        self.h1_labels = self._check_labels(h1_labels, n1, "x")
-        self.h2_labels = self._check_labels(h2_labels, n2, "m")
+        self.h1_labels = self._check_labels(h1_labels, n1, "h1", "x")
+        self.h2_labels = self._check_labels(h2_labels, n2, "h2", "m")
         self.up = tuple(up)
         self.down = tuple(down)
         self._hash = hash((n1, n2, self.up, self.h1_labels, self.h2_labels))
 
     @staticmethod
-    def _check_labels(labels: Optional[Sequence[str]], n: int,
+    def _check_labels(labels: Optional[Sequence[str]], n: int, tier: str,
                       prefix: str) -> tuple[str, ...]:
         if labels is None:
             return tuple(f"{prefix}{i}" for i in range(n))
-        labels = tuple(str(s) for s in labels)
+        if (not isinstance(labels, (list, tuple))
+                or not all(type(s) is str for s in labels)):
+            raise ValueError(f"{tier} labels must be null or a list of "
+                             f"strings, got {labels!r}")
         if len(labels) != n:
-            raise ValueError(f"expected {n} labels, got {len(labels)}")
-        return labels
+            raise ValueError(f"{tier}: expected {n} labels, got {len(labels)}")
+        return tuple(labels)
 
     # -- identity ---------------------------------------------------------
 

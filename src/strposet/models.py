@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -16,7 +16,7 @@ from .core import HARD_MAX_TIER, PosetFragment, bits_of, check_tier_sizes
 
 
 class FragmentFormatError(ValueError):
-    """Raised by the loader with a position-carrying message."""
+    """Raised by the loaders with a message naming the fault's position."""
 
 
 # -- random planted fragments ------------------------------------------------
@@ -33,6 +33,7 @@ class GeneratorParams:
     seed: int = 0
 
     def check(self) -> None:
+        check_param_fields(asdict(self))
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("both tiers must be nonempty")
         check_tier_sizes(self.n1, self.n2)
@@ -59,6 +60,20 @@ class GeneratorParams:
                     f"planting needs {need * self.n2} curve-point pairs, but "
                     f"{n_regular} regular curves hold at most "
                     f"{cap * n_regular} (pairwise_cap {cap})")
+
+
+def check_param_fields(obj: object) -> dict:
+    """``obj`` if it is an object of GeneratorParams fields with JSON integer
+    values (not booleans or floats); ValueError naming the key otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"parameters must be an object, got {obj!r}")
+    names = [f.name for f in fields(GeneratorParams)]
+    for key, value in obj.items():
+        if key not in names:
+            raise ValueError(f"unknown generator parameter {key!r}")
+        if type(value) is not int:
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    return obj
 
 
 class _PlantingStuck(Exception):
@@ -313,18 +328,13 @@ def fragment_to_json(fragment: PosetFragment) -> dict:
                        "h2": list(fragment.h2_labels)}}
 
 
-def _is_int(value: object) -> bool:
-    """JSON integers only: booleans are ints to Python but not counts."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def fragment_from_json(obj: object) -> PosetFragment:
     if not isinstance(obj, dict):
         raise FragmentFormatError("top level must be an object")
     if obj.get("version") != 1:
         raise FragmentFormatError(f"unsupported version {obj.get('version')!r}")
     n1, n2 = obj.get("n1"), obj.get("n2")
-    if not _is_int(n1) or not _is_int(n2):
+    if type(n1) is not int or type(n2) is not int:
         raise FragmentFormatError("n1 and n2 must be integers")
     raw = obj.get("incidence")
     if not isinstance(raw, list):
@@ -333,7 +343,7 @@ def fragment_from_json(obj: object) -> PosetFragment:
     pairs = []
     for k, entry in enumerate(raw):
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(_is_int(v) for v in entry)):
+                or not all(type(v) is int for v in entry)):
             raise FragmentFormatError(
                 f"incidence[{k}]: expected a pair of integers, got {entry!r}")
         i, j = entry
@@ -419,10 +429,13 @@ def dumps_fragment(fragment: PosetFragment) -> str:
     return json_text(fragment_to_json(fragment))
 
 
-def load_fragment(path: Union[str, Path]) -> PosetFragment:
-    text = Path(path).read_text(encoding="utf-8")
+def read_json(path: Union[str, Path]) -> object:
+    """The value in a UTF-8 JSON file: a fragment, node map or config."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, RecursionError) as exc:   # nesting too deep
         raise FragmentFormatError(f"not valid JSON: {exc}") from exc
-    return fragment_from_json(obj)
+
+
+def load_fragment(path: Union[str, Path]) -> PosetFragment:
+    return fragment_from_json(read_json(path))

@@ -189,9 +189,10 @@ class StrIso:
     @classmethod
     def from_json(cls, fragment_x: PosetFragment, fragment_y: PosetFragment,
                   obj: dict) -> "StrIso":
+        """A map file's map; ValueError unless a bijection of member pairs."""
         if not isinstance(obj, dict) or obj.get("version") != 1:
             raise ValueError("unsupported map file")
-        pairs = obj["pairs"]
+        pairs = obj.get("pairs")
         if not (isinstance(pairs, list)
                 and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
             raise ValueError("pairs must be a list of [node, image] lists")
@@ -201,7 +202,11 @@ class StrIso:
             if node in table:
                 raise ValueError(f"domain node {node} is listed twice")
             table[node] = StrNode.from_json(b)
-        return cls(fragment_x, fragment_y, table)
+        phi = cls(fragment_x, fragment_y, table)
+        if problems := phi.validate(order_check=False):
+            raise ValueError("; ".join(problems[:5]))
+        phi.reset_probes()
+        return phi
 
 
 def induce_str_iso(rho: IsoMap, spec: DomainSpec = DomainSpec()) -> StrIso:

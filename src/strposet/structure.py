@@ -68,9 +68,9 @@ class StrNode(NamedTuple):
 
 
 def _index_mask(obj: dict, key: str) -> int:
-    """``mask_of(obj[key])`` for a list of indices below HARD_MAX_TIER;
+    """``mask_of(obj.get(key))`` for a list of indices below HARD_MAX_TIER;
     ValueError for anything else (``type`` keeps booleans out)."""
-    value = obj[key]
+    value = obj.get(key)
     if type(value) is list:
         mask = 0
         for i in value:

@@ -115,8 +115,35 @@ def test_gen_config_file_with_flag_override(capsys, files):
      "planting needs 2048 curve-point pairs"),
     (("gen", "--model", "random", "--n1", "10", "--n2", "5",
       "--min-updeg", "4"), "min_updeg 4 exceeds pairwise_cap 3"),
+    # a --config value written as JSON text is saved to config.json first
+    (("gen", "--model", "random", "--config", "[1, 2]"),
+     "config.json: parameters must be an object, got [1, 2]"),
+    (("gen", "--model", "random", "--config", '{"n1": "a", "n2": 3}'),
+     "config.json: n1 must be an integer, got 'a'"),
+    (("gen", "--model", "random", "--config", '{"n1": 5.5, "n2": 3}'),
+     "config.json: n1 must be an integer, got 5.5"),
+    (("gen", "--model", "random", "--config",
+      '{"n1": 10, "n2": 3, "planted_pairs_per_point": 1e400}'),
+     "config.json: planted_pairs_per_point must be an integer, got inf"),
+    (("gen", "--model", "random", "--config",
+      '{"n1": 10, "n2": 3, "seed": true}'),
+     "config.json: seed must be an integer, got True"),
+    (("gen", "--model", "random", "--config",
+      '{"n1": 10, "n2": 3, "bogus": 1}'),
+     "config.json: unknown generator parameter 'bogus'"),
+    # refusals of a config's values name the file too
+    (("gen", "--model", "random", "--config", '{"n2": 3}'),
+     "config.json: random model needs --n1"),
+    (("gen", "--model", "random", "--config",
+      '{"n1": 4, "n2": 3, "planted_pairs_per_point": 3}'),
+     "config.json: n1 too small"),
 ])
-def test_gen_rejects(capsys, argv, fragment_of_err):
+def test_gen_rejects(capsys, tmp_path, argv, fragment_of_err):
+    argv = list(argv)
+    if "--config" in argv and argv[argv.index("--config") + 1][0] in "[{":
+        k = argv.index("--config") + 1
+        (tmp_path / "config.json").write_text(argv[k], encoding="utf-8")
+        argv[k] = str(tmp_path / "config.json")
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and fragment_of_err in err
@@ -151,6 +178,14 @@ def test_check_bad_inputs(capsys, files):
         fh.write("{]")
     code, _, err = run(capsys, "check", garbage)
     assert code == 3 and "not valid JSON" in err
+
+
+def test_deeply_nested_json_exits_3(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "dot", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {path}: not valid JSON: maximum recursion")
 
 
 def test_path_errors_exit_3(capsys, files):
@@ -293,6 +328,23 @@ def test_reconstruct_rejects_bad_map_files(capsys, files):
     assert code == 3 and "unsupported map file" in err
 
 
+@pytest.mark.parametrize("doc,named", [
+    ({"version": 1}, "pairs must be a list"),
+    ({"version": 1, "pairs": [[{"b": [0]}, {"a": [0], "b": [0]}]]},
+     "node ordinate 'a'"),
+    ({"version": 1, "pairs": [[{"a": [0], "b": [0]}, {"a": [0]}]]},
+     "node ordinate 'b'"),
+])
+def test_reconstruct_names_missing_map_keys(capsys, files, tmp_path, doc,
+                                            named):
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "reconstruct", files["ag21"], files["ag21"],
+                         "--map", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {path}: ") and named in err
+
+
 def test_reconstruct_reports_truncated_map_domain(capsys, files):
     rho = relabel(load_fragment(files["p3"]), seed=7)[1]
     phi = restrict_support(induce_str_iso(rho, DomainSpec(k_cap=3)), 2)
@@ -417,6 +469,17 @@ def test_dot_frozen(capsys, files):
 """
 
 
+def test_dot_refuses_non_string_labels(capsys, tmp_path):
+    doc = json.loads(dumps_fragment(cusp_fragment()))
+    path = tmp_path / "labels5.json"
+    path.write_text(json.dumps({**doc, "labels": {"h1": 5}}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "dot", str(path))
+    assert (code, out) == (3, "")
+    assert err == (f"error: {path}: h1 labels must be null or a list of "
+                   "strings, got 5\n")
+
+
 def test_output_file_matches_stdout(capsys, files):
     _, out, _ = run(capsys, "check", files["f3"])
     target = str(files["dir"] / "check.json")
@@ -441,6 +504,9 @@ def test_output_file_matches_stdout(capsys, files):
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{scalar_pairs_map}"],
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{curve7_domain_map}"],
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{repeated_node_map}"],
+    ["reconstruct", "{ag21}", "{ag21}", "--map", "{no_pairs_map}"],
+    ["reconstruct", "{ag21}", "{ag21}", "--map", "{no_a_map}"],
+    ["reconstruct", "{ag21}", "{ag21}", "--map", "{no_b_map}"],
 ])
 def test_library_value_errors_exit_3(capsys, files, tmp_path, argv):
     save_fragment(PosetFragment(2, 1, [(0, 0), (1, 0)]),
@@ -456,10 +522,15 @@ def test_library_value_errors_exit_3(capsys, files, tmp_path, argv):
             "scalar_pairs_map": [5],
             "curve7_domain_map": [[node, valid]],
             "repeated_node_map": [[valid, valid],
-                                  [valid, {"a": [1], "b": [0], "ray": None}]]}
+                                  [valid, {"a": [1], "b": [0], "ray": None}]],
+            "no_pairs_map": None,
+            "no_a_map": [[{"b": [0]}, valid]],
+            "no_b_map": [[valid, {"a": [0]}]]}
     for name, pairs in maps.items():
+        doc = {"version": 1} if pairs is None else {"version": 1,
+                                                    "pairs": pairs}
         with open(tmp_path / f"{name}.json", "w", encoding="utf-8") as fh:
-            json.dump({"version": 1, "pairs": pairs}, fh)
+            json.dump(doc, fh)
     paths = {name: str(tmp_path / f"{name}.json")
              for name in ("one_point", "bare_curve", *maps)}
     code, out, err = run(capsys, *[a.format(ag21=files["ag21"],

@@ -33,6 +33,8 @@ from helpers import eval_poly_label, h1, h2, make_f3, mub
                           r"regular curves hold at most 297 \(pairwise_cap 3\)"),
     (dict(n1=512, n2=512), "planting needs 2048 curve-point pairs"),
     (dict(n1=10, n2=5, min_updeg=4), "min_updeg 4 exceeds pairwise_cap 3"),
+    (dict(n1=5.0, n2=3), "n1 must be an integer, got 5.0"),
+    (dict(n1=8, n2=3, seed=True), "seed must be an integer, got True"),
 ])
 def test_generator_params_rejects(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
@@ -263,6 +265,20 @@ def test_dumps_is_stable():
     (lambda o: {**o, "labels": "nope"}, "labels must be an object"),
     (lambda o: {**o, "labels": {"h1": ["only"], "h2": None}},
      "expected 3 labels, got 1"),
+    pytest.param(lambda o: {**o, "labels": {"h1": 5}},
+                 "h1 labels must be null or a list of strings, got 5",
+                 id="labels-int"),
+    # a string is not read as its characters
+    pytest.param(lambda o: {**o, "labels": {"h1": "abc"}},
+                 "h1 labels must be null or a list of strings, got 'abc'",
+                 id="labels-str"),
+    # nor are non-strings turned into their repr
+    pytest.param(lambda o: {**o, "labels": {"h2": [1, None, "n2"]}},
+                 r"h2 labels must be null or a list of strings",
+                 id="labels-non-str-entries"),
+    pytest.param(lambda o: {**o, "labels": {"h1": [1, None]}},
+                 r"h1 labels must be null or a list of strings, "
+                 r"got \[1, None\]", id="labels-int-and-null"),
 ])
 def test_loader_rejects_malformed(mangle, msg):
     base = fragment_to_json(cusp_fragment())
