@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from functools import cache
 from typing import Callable, Optional
 
 from .conditions import (check_j1, check_j2, check_j4, check_p1_to_p4,
@@ -337,9 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call of a process; the
+    benchmark, the tests and library callers run ``main`` many times."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:

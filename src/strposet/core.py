@@ -144,17 +144,23 @@ class PosetFragment:
         return (1 << self.n2) - 1
 
     def common_h2_above(self, h1_mask: int) -> int:
-        """Points above every curve in the mask (all points for the empty mask)."""
-        acc = self.all_h2_mask
-        for i in bits_of(h1_mask):
-            acc &= self.up[i]
+        """Points above every curve in the mask (all points for the empty
+        mask); the bits are walked inline, as in ``mask_image``."""
+        acc, up = (1 << self.n2) - 1, self.up
+        while h1_mask:
+            low = h1_mask & -h1_mask
+            acc &= up[low.bit_length() - 1]
+            h1_mask ^= low
         return acc
 
     def common_h1_below(self, h2_mask: int) -> int:
-        """Curves below every point in the mask (all curves for the empty mask)."""
-        acc = self.all_h1_mask
-        for j in bits_of(h2_mask):
-            acc &= self.down[j]
+        """Curves below every point in the mask (all curves for the empty
+        mask); the bits are walked inline, as in ``mask_image``."""
+        acc, down = (1 << self.n1) - 1, self.down
+        while h2_mask:
+            low = h2_mask & -h2_mask
+            acc &= down[low.bit_length() - 1]
+            h2_mask ^= low
         return acc
 
     def unique_point_sets(self, m: int, pool: int, max_size: int,

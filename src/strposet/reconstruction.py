@@ -19,19 +19,22 @@ from typing import Optional
 
 from .conditions import BatteryReport, witness_battery
 from .core import IsoMap, PosetFragment, bits_of, mask_image, relabel
-from .structure import StrNode, ray_node, str_leq, str_member
+from .structure import (StrNode, node_from_tuple, ray_node, str_leq,
+                        str_member)
 
 MAX_DOMAIN_NODES = 1_000_000    # induce_str_iso refuses larger domains
 
 @dataclass(slots=True)
 class ReconstructionTrace:
-    """What each map entry rests on.  A ``rho1_table`` entry keeps its
-    ``evidence`` as (node, image) StrNode pairs; ``to_json`` spells them out,
-    so runs that never emit the trace never format it."""
+    """What each map entry rests on.  ``evidence`` holds (node, image)
+    StrNode pairs, each looked-up node once, and a ``rho1_table`` entry keeps
+    its ``evidence`` as positions into that list; ``to_json`` spells them
+    out, so runs that never emit the trace never format it."""
 
     rho2_table: dict = field(default_factory=dict)
     rho1_table: dict = field(default_factory=dict)
     conflicts: list = field(default_factory=list)
+    evidence: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         spelled: dict = {}      # a node recurring in evidence shares one dict
@@ -42,11 +45,13 @@ class ReconstructionTrace:
                 out = spelled[node] = node.to_json()
             return out
 
+        evidence = self.evidence
         return {"version": 1,
                 "rho2": {str(k): v for k, v in self.rho2_table.items()},
                 "rho1": {str(k): {**v, "evidence": [
                     {"node": spell(node), "image": spell(img)}
-                    for node, img in v["evidence"]]}
+                    for node, img in map(evidence.__getitem__,
+                                         v["evidence"])]}
                     for k, v in self.rho1_table.items()},
                 "conflicts": list(self.conflicts)}
 
@@ -81,6 +86,14 @@ def _is_member(fragment: PosetFragment, node: StrNode) -> bool:
     """Membership that reads ordinates outside the fragment as a plain no."""
     try:
         return str_member(fragment, node.masks())
+    except ValueError:
+        return False
+
+
+def _is_ray_node(fragment: PosetFragment, node: StrNode) -> bool:
+    """Whether a node tagged as a ray is ``ray_node(fragment, ray_of)``."""
+    try:
+        return node == ray_node(fragment, node.ray_of)
     except ValueError:
         return False
 
@@ -135,8 +148,9 @@ class StrIso:
 
     def validate(self, order_check: bool = True) -> list[str]:
         """Invariant audit: domain nodes and their images are member pairs,
-        no two nodes share an image, and the order agrees in both
-        directions.
+        a node or image tagged as the ray of curve x is ``ray_node`` of x in
+        its fragment, no two nodes share an image, and the order agrees in
+        both directions.
 
         Distinct nodes compare only when the lower first ordinate is a
         proper subset of the upper one, so the order is tested just on the
@@ -157,6 +171,12 @@ class StrIso:
             images.append(img)
             if not _is_member(fy, img):
                 problems.append(f"image of {node} is not a member pair")
+            if node.ray_of is not None and not _is_ray_node(fx, node):
+                problems.append(f"domain node {node} is not the ray node "
+                                f"of its curve")
+            if img.ray_of is not None and not _is_ray_node(fy, img):
+                problems.append(f"image {img} of {node} is not the ray "
+                                f"node of its curve")
             back = inverse[img]
             self.probes += 1
             if back != node:
@@ -228,7 +248,8 @@ def induce_str_iso(rho: IsoMap, spec: DomainSpec = DomainSpec()) -> StrIso:
             level = [(a | bit, a_img | img_bit, j + 1)
                      for a, a_img, lo in level
                      for j, (bit, img_bit) in enumerate(bits[lo:], lo)]
-            table.update({StrNode(k, b): StrNode(k_img, b_img)
+            table.update({node_from_tuple((k, b, None)):
+                          node_from_tuple((k_img, b_img, None))
                           for k, k_img, _ in level})
     for x in range(fx.n1 if spec.include_rays else 0):
         ray = ray_node(fx, x)
@@ -254,29 +275,31 @@ def rho2_from_phi(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
     """Point map from where singleton-fiber nodes land.
 
     Every domain node over {m} must map into one singleton fiber {n};
-    disagreements and non-singleton images become conflicts.  An image over
-    one point of fragment_y is a member iff its curves meet those below the
-    point; any other image takes ``str_member``, which raises ValueError on
-    masks outside fragment_y.
+    disagreements and non-singleton images become conflicts.  One pass over
+    the table groups the (node, image) pairs by fiber, and each fiber adds
+    its size to the probes.  An image over one point of fragment_y is a
+    member iff its curves meet those below the point; any other image takes
+    ``str_member``, which raises ValueError on masks outside fragment_y.
     """
     trace = ReconstructionTrace()
     fx, fy = phi.fragment_x, phi.fragment_y
     h1_top, h2_top = fy.all_h1_mask, fy.all_h2_mask
-    groups: dict[int, list[StrNode]] = {m: [] for m in range(fx.n2)}
-    for node in phi.domain:
-        if node.is_ray or node.b_mask.bit_count() != 1:
-            continue
-        groups[node.b_mask.bit_length() - 1].append(node)
+    groups: dict[int, list] = {m: [] for m in range(fx.n2)}
+    for pair in phi.table.items():
+        _, b, ray = pair[0]
+        if ray is None and b.bit_count() == 1:
+            groups[b.bit_length() - 1].append(pair)
     rho2: dict[int, int] = {}
     for m in range(fx.n2):
-        if not groups[m]:
+        pairs = groups[m]
+        if not pairs:
             raise ReconstructionError(
                 f"no domain node in the fiber over {fx.h2_labels[m]}", trace)
+        phi.probes += len(pairs)
         target = None
         witness = None
-        for node in groups[m]:
-            img = phi.map(node)
-            a, b = img.a_mask, img.b_mask
+        for node, img in pairs:
+            a, b, _ = img
             if 0 <= a <= h1_top and 0 < b <= h2_top and not b & (b - 1):
                 member = bool(a & fy.down[b.bit_length() - 1])
             else:
@@ -316,9 +339,12 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3
     """Curve map by intersecting the first ordinates of K-set images.
 
     One pass per point lists its K-sets, the (K, {b}) with |K| <= size_cap
-    and mub(K) = {b}, by size, then lexicographic K; a curve takes those
-    holding it in that order.  Each image is checked once, and each (curve,
-    K-set) pair is one probe.  The image intersection always contains the
+    and mub(K) = {b}, by size, then lexicographic K.  Each K-set is looked
+    up and its image tested once, and the pair goes to ``trace.evidence``;
+    a curve takes the positions of the K-sets holding it, in that order,
+    and each (curve, K-set) pair is one probe.  ``size_cap`` drops to the
+    largest first ordinate over a single point in psi's domain, since no
+    larger K is tabulated.  The image intersection always contains the
     true image, so a singleton answer is correct whenever psi really is
     induced by a relabeling; a larger intersection is recorded as an
     ambiguity, never guessed at.  Only K-sets psi actually tabulates count
@@ -326,35 +352,44 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3
     """
     trace = ReconstructionTrace()
     fx, fy = psi.fragment_x, psi.fragment_y
-    nodes, held = [], [[] for _ in range(fx.n1)]  # held[x]: indices in nodes
+    table, evidence = psi.table, trace.evidence
+    if not any(a.bit_count() >= size_cap and ray is None
+               and b.bit_count() == 1 for a, b, ray in table):
+        size_cap = max((a.bit_count() for a, b, ray in table
+                        if ray is None and b.bit_count() == 1), default=0)
+    held = [[] for _ in range(fx.n1)]   # held[x]: positions in evidence
+    is_k_set = []                       # per position
     for b, down in enumerate(fx.down):
+        b_mask = 1 << b
         for k in fx.unique_point_sets(b, down, size_cap):
-            if (node := StrNode(k, 1 << b)) in psi.table:
-                for x in bits_of(k):
-                    held[x].append(len(nodes))
-                nodes.append(node)
-    is_k_set: list[Optional[bool]] = [None] * len(nodes)  # at first use
+            node = node_from_tuple((k, b_mask, None))
+            if (img := table.get(node)) is None:
+                continue
+            position, rest = len(evidence), k
+            while rest:
+                low = rest & -rest
+                held[low.bit_length() - 1].append(position)
+                rest ^= low
+            evidence.append((node, img))
+            a, b_img, _ = img
+            is_k_set.append(b_img.bit_count() == 1 and a.bit_count() >= 2
+                            and fy.common_h2_above(a) == b_img)
     rho1: dict[int, int] = {}
     for x, positions in enumerate(held):
         if not positions:
             raise ReconstructionError(
                 f"no K-sets for curve {fx.h1_labels[x]} within the size cap "
                 f"and the map domain", trace)
-        evidence, inter = [], fy.all_h1_mask
+        psi.probes += len(positions)
+        inter = fy.all_h1_mask
         for i in positions:
-            node = nodes[i]
-            img = psi.map(node)
-            evidence.append((node, img))
-            if is_k_set[i] is None:
-                a, b = img.a_mask, img.b_mask
-                is_k_set[i] = (b.bit_count() == 1 and a.bit_count() >= 2
-                               and fy.common_h2_above(a) == b)
+            node, img = evidence[i]
             if not is_k_set[i]:
                 trace.conflicts.append(
                     {"kind": "image-not-k-set", "x": fx.h1_labels[x],
                      "node": node.to_json(), "image": img.to_json()})
             inter &= img.a_mask
-        entry = {"intersection": list(bits_of(inter)), "evidence": evidence}
+        entry = {"intersection": list(bits_of(inter)), "evidence": positions}
         if inter.bit_count() == 1:
             rho1[x] = inter.bit_length() - 1
             entry["image"] = rho1[x]
@@ -385,7 +420,8 @@ def rho1_from_rays(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
             continue
         rho1[x] = img.ray_of
         trace.rho1_table[x] = {"image": img.ray_of,
-                               "evidence": [(ray, img)]}
+                               "evidence": [len(trace.evidence)]}
+        trace.evidence.append((ray, img))
     return rho1, trace
 
 
@@ -399,13 +435,14 @@ def build_rho(phi: StrIso, size_cap: int = 3, prefer_rays: bool = True
     """
     rho2, trace = rho2_from_phi(phi)
     fx = phi.fragment_x
-    have_rays = {n.ray_of for n in phi.domain if n.is_ray}
-    if prefer_rays and have_rays == set(range(fx.n1)):
+    if prefer_rays and ({ray for _, _, ray in phi.table} - {None}
+                        == set(range(fx.n1))):
         rho1, t1 = rho1_from_rays(phi)
     else:
         rho1, t1 = rho1_from_psi(phi, size_cap)
     trace.rho1_table.update(t1.rho1_table)
     trace.conflicts.extend(t1.conflicts)
+    trace.evidence = t1.evidence
     if trace.conflicts:
         raise ReconstructionError("conflicting evidence; see trace", trace)
     try:

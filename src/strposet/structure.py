@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from types import MethodType
 from typing import NamedTuple, Optional, Union
 
 from .conditions import find_j3_witness
@@ -65,6 +66,12 @@ class StrNode(NamedTuple):
                                 or not 0 <= ray < HARD_MAX_TIER):
             raise ValueError(f"node ray is not an index or null: {ray!r}")
         return cls(_index_mask(obj, "a"), _index_mask(obj, "b"), ray)
+
+
+# ``StrNode(a, b)`` runs the named tuple's Python-level ``__new__``;
+# ``node_from_tuple((a, b, ray))`` builds the same node through
+# ``tuple.__new__`` directly, for loops that make one node per K-set.
+node_from_tuple = MethodType(tuple.__new__, StrNode)
 
 
 def _index_mask(obj: dict, key: str) -> int:

@@ -10,7 +10,8 @@ here: the library itself works on bitmasks only.
 
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import combinations, permutations
+from itertools import (combinations, combinations_with_replacement,
+                       permutations)
 from typing import Iterable, Optional, Sequence
 
 from strposet import (DomainSpec, FactorizationReport, FiberView, IsoMap,
@@ -431,6 +432,25 @@ def mask_image_by_generators(mask: int, table) -> int:
     return mask_of(table[i] for i in bits_of(mask))
 
 
+def common_h2_above_by_generators(fragment: PosetFragment,
+                                  h1_mask: int) -> int:
+    """``PosetFragment.common_h2_above`` as it was before the inline bit
+    walk: an AND of ``up`` over a ``bits_of`` generator."""
+    acc = fragment.all_h2_mask
+    for i in bits_of(h1_mask):
+        acc &= fragment.up[i]
+    return acc
+
+
+def common_h1_below_by_generators(fragment: PosetFragment,
+                                  h2_mask: int) -> int:
+    """``PosetFragment.common_h1_below`` the same way, over ``down``."""
+    acc = fragment.all_h1_mask
+    for j in bits_of(h2_mask):
+        acc &= fragment.down[j]
+    return acc
+
+
 def unmap(phi: StrIso, node: StrNode) -> StrNode:
     """The last domain node ``phi`` maps to ``node``, by a scan of the table;
     one probe."""
@@ -457,6 +477,19 @@ def validate_all_pairs(phi, order_check: bool = True) -> list[str]:
         images.append(img)
         if not str_member(phi.fragment_y, img.masks()):
             problems.append(f"image of {node} is not a member pair")
+        for side, fragment, problem in (
+                (node, phi.fragment_x,
+                 f"domain node {node} is not the ray node of its curve"),
+                (img, phi.fragment_y,
+                 f"image {img} of {node} is not the ray node of its curve")):
+            if side.ray_of is None:
+                continue
+            try:
+                own = side == ray_node(fragment, side.ray_of)
+            except ValueError:
+                own = False
+            if not own:
+                problems.append(problem)
         back = unmap(phi, img)
         if back != node:
             problems.append(f"inverse(map({node})) = {back}")
@@ -493,7 +526,8 @@ def validate_all_pairs(phi, order_check: bool = True) -> list[str]:
 #
 # The round-trip stages as the library ran them before it built induced maps
 # fiber by fiber and took one K-set pass per point: a domain list and a
-# five-call image per node, K-sets searched per (curve, point), and a
+# five-call image per node, a point map that maps each singleton-fiber node
+# as its fiber is read, K-sets searched per (curve, point), and a
 # factorization check that rebuilds each expected node.  ``enumerate_domain``
 # lost only its ``fiber_support_cap`` truncation, which ``restrict_support``
 # now applies to a built map.
@@ -550,11 +584,75 @@ def k_sets(fragment: PosetFragment, x: int, size_cap: int = 3
                                                 size_cap, base=1 << x)]
 
 
+def rho2_from_phi_by_node(phi: StrIso
+                          ) -> tuple[dict[int, int], ReconstructionTrace]:
+    """Point map from where singleton-fiber nodes land.
+
+    Every domain node over {m} must map into one singleton fiber {n};
+    disagreements and non-singleton images become conflicts.  Nodes are
+    grouped by fiber from the domain list, then each is mapped (one probe)
+    as its fiber is read.
+    """
+    trace = ReconstructionTrace()
+    fx, fy = phi.fragment_x, phi.fragment_y
+    h1_top, h2_top = fy.all_h1_mask, fy.all_h2_mask
+    groups: dict[int, list[StrNode]] = {m: [] for m in range(fx.n2)}
+    for node in phi.domain:
+        if node.is_ray or node.b_mask.bit_count() != 1:
+            continue
+        groups[node.b_mask.bit_length() - 1].append(node)
+    rho2: dict[int, int] = {}
+    for m in range(fx.n2):
+        if not groups[m]:
+            raise ReconstructionError(
+                f"no domain node in the fiber over {fx.h2_labels[m]}", trace)
+        target = None
+        witness = None
+        for node in groups[m]:
+            img = phi.map(node)
+            a, b = img.a_mask, img.b_mask
+            if 0 <= a <= h1_top and 0 < b <= h2_top and not b & (b - 1):
+                member = bool(a & fy.down[b.bit_length() - 1])
+            else:
+                member = str_member(fy, (a, b))
+            if not member:
+                trace.conflicts.append(
+                    {"kind": "image-not-member", "m": fx.h2_labels[m],
+                     "node": node.to_json()})
+                continue
+            if b.bit_count() != 1:
+                trace.conflicts.append(
+                    {"kind": "image-fiber-not-singleton",
+                     "m": fx.h2_labels[m], "node": node.to_json(),
+                     "image": img.to_json()})
+                continue
+            n = b.bit_length() - 1
+            if target is None:
+                target, witness = n, node
+            elif n != target:
+                trace.conflicts.append(
+                    {"kind": "fiber-split", "m": fx.h2_labels[m],
+                     "images": sorted({n, target}),
+                     "nodes": [witness.to_json(), node.to_json()]})
+        if target is not None:
+            rho2[m] = target
+            trace.rho2_table[m] = {"image": target,
+                                   "witness": witness.to_json()}
+    if len(rho2) == fx.n2 and (len(set(rho2.values())) != fx.n2
+                               or fx.n2 != fy.n2):
+        trace.conflicts.append({"kind": "rho2-not-bijective",
+                                "images": sorted(rho2.values())})
+    return rho2, trace
+
+
 def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3
                            ) -> tuple[dict[int, int], ReconstructionTrace]:
     """Curve map by intersecting the first ordinates of K-set images.
 
-    The image intersection always contains the true image, so a singleton
+    K-sets are searched per (curve, point) up to ``size_cap`` itself, and
+    each (curve, K-set) pair is one ``psi.map`` call whose pair is appended
+    to ``trace.evidence``, so a K-set cited by several curves is listed once
+    per curve.  The image intersection always contains the true image, so a singleton
     answer is correct whenever psi really is induced by a relabeling; a
     larger intersection is recorded as an ambiguity, never guessed at.
     Only K-sets psi actually tabulates count as evidence; a map file over a
@@ -573,7 +671,8 @@ def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3
         inter = fy.all_h1_mask
         for node in nodes:
             img = psi.map(node)
-            evidence.append((node, img))
+            evidence.append(len(trace.evidence))
+            trace.evidence.append((node, img))
             if (img.b_mask.bit_count() != 1
                     or img.a_mask.bit_count() < 2
                     or fy.common_h2_above(img.a_mask) != img.b_mask):
@@ -610,6 +709,33 @@ def verify_factorization_by_node(phi: StrIso, rho: IsoMap
                  "a_star": list(bits_of(inv.h1_mask_image(img.a_mask))),
                  "b_star": list(bits_of(inv.h2_mask_image(img.b_mask)))})
     return FactorizationReport(len(phi.domain), violations)
+
+
+def census_fragments(max_n1: int, max_n2: int) -> list[PosetFragment]:
+    """One fragment per class, up to relabeling within each tier, of the
+    fragments with 1..max_n1 curves and 1..max_n2 points in which every
+    curve lies below some point and every point above some curve.
+
+    A class is a multiset of nonempty upper sets that covers every point;
+    its key is the smallest sorted tuple of upper sets over all point
+    permutations.  Up to 5 curves and 3 points there are 189 classes."""
+    classes = []
+    for n2 in range(1, max_n2 + 1):
+        perms = list(permutations(range(n2)))
+        full = (1 << n2) - 1
+        for n1 in range(1, max_n1 + 1):
+            seen = set()
+            for ups in combinations_with_replacement(range(1, full + 1), n1):
+                if mask_of(j for u in ups for j in bits_of(u)) != full:
+                    continue
+                key = min(tuple(sorted(mask_of(p[j] for j in bits_of(u))
+                                       for u in ups)) for p in perms)
+                if key not in seen:
+                    seen.add(key)
+                    classes.append(PosetFragment(
+                        n1, n2, [(i, j) for i, u in enumerate(key)
+                                 for j in bits_of(u)]))
+    return classes
 
 
 def eval_poly_label(label: str, a: int, b: int, p: int) -> int:

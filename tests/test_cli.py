@@ -4,10 +4,11 @@ import time
 
 import pytest
 
-from strposet import (DomainSpec, GeneratorParams, PosetFragment, StrIso,
-                      affine_plane_fragment, corrupt_str_iso, cusp_fragment,
-                      dumps_fragment, finite_node, induce_str_iso,
-                      load_fragment, random_fragment, relabel, save_fragment)
+from strposet import (DomainSpec, GeneratorParams, IsoMap, PosetFragment,
+                      StrIso, affine_plane_fragment, corrupt_str_iso,
+                      cusp_fragment, dumps_fragment, finite_node,
+                      induce_str_iso, load_fragment, random_fragment, relabel,
+                      save_fragment)
 from strposet.cli import main
 
 from helpers import restrict_support
@@ -41,6 +42,10 @@ def files(tmp_path_factory):
     paths["map_bad"] = str(d / "map_bad.json")
     with open(paths["map_bad"], "w", encoding="utf-8") as fh:
         json.dump(corrupt_str_iso(phi, seed=0).to_json(), fh)
+    paths["map_rays"] = str(d / "map_rays.json")
+    with open(paths["map_rays"], "w", encoding="utf-8") as fh:
+        json.dump(induce_str_iso(rho, DomainSpec(include_rays=True)).to_json(),
+                  fh)
     paths["dir"] = d
     return paths
 
@@ -306,6 +311,50 @@ def test_reconstruct_output_bytes_frozen(capsys, files):
         "cca7ed8dc41f9405973ce175761c55880df9df1ebb4690e908d439c7047674d1")
 
 
+@pytest.mark.parametrize("map_file,rc,sha256", [
+    ("map_bad", 1,      # conflicts, the error and its trace
+     "dfd4f8da005fe35f82ac1819fdf05d73262379d0d83c3e0e0e37e3058d9fe268"),
+    ("map_rays", 0,     # the curve map read off the rays
+     "655305ef43caf5c62857652084b7deeb631946301d4df38c357d56a032cd22fc"),
+])
+def test_reconstruct_conflict_and_ray_bytes_frozen(capsys, files, map_file,
+                                                   rc, sha256):
+    code, out, err = run(capsys, "reconstruct", files["p3"], files["p3y"],
+                         "--map", files[map_file])
+    assert code == rc and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_reconstruct_size_cap_beyond_the_map_changes_nothing(capsys, files):
+    # no K-set larger than the map's first ordinates is ever tried
+    ag21 = load_fragment(files["ag21"])
+    relabeled, rho = relabel(ag21, seed=3)
+    target = str(files["dir"] / "ag21y.json")
+    save_fragment(relabeled, target)
+    k2 = str(files["dir"] / "ag21_k2.json")
+    with open(k2, "w", encoding="utf-8") as fh:
+        json.dump(induce_str_iso(rho, DomainSpec(k_cap=2)).to_json(), fh)
+    outs = {run(capsys, "reconstruct", files["ag21"], target, "--map", k2,
+                "--k-cap", cap) for cap in ("2", "4", "8")}
+    assert len(outs) == 1
+    (code, out, err), = outs
+    assert code == 0 and err == "" and json.loads(out)["recovered"] is True
+
+
+def cusp_ray7_pairs() -> list:
+    """The identity map of the cusp with rays, its ray-0 nodes retagged as
+    the ray of curve 7 (the cusp has three) on both sides."""
+    cusp = cusp_fragment()
+    identity = IsoMap(cusp, cusp, tuple(range(cusp.n1)),
+                      tuple(range(cusp.n2)))
+    pairs = induce_str_iso(identity,
+                           DomainSpec(include_rays=True)).to_json()["pairs"]
+    for node in (node for pair in pairs for node in pair):
+        if node["ray"] == 0:
+            node["ray"] = 7
+    return pairs
+
+
 def test_reconstruct_corrupt_map(capsys, files):
     code, data = run_json(capsys, "reconstruct", files["p3"], files["p3y"],
                           "--map", files["map_bad"])
@@ -507,6 +556,7 @@ def test_output_file_matches_stdout(capsys, files):
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{no_pairs_map}"],
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{no_a_map}"],
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{no_b_map}"],
+    ["reconstruct", "{f3}", "{f3}", "--map", "{ray7_map}"],
 ])
 def test_library_value_errors_exit_3(capsys, files, tmp_path, argv):
     save_fragment(PosetFragment(2, 1, [(0, 0), (1, 0)]),
@@ -525,7 +575,8 @@ def test_library_value_errors_exit_3(capsys, files, tmp_path, argv):
                                   [valid, {"a": [1], "b": [0], "ray": None}]],
             "no_pairs_map": None,
             "no_a_map": [[{"b": [0]}, valid]],
-            "no_b_map": [[valid, {"a": [0]}]]}
+            "no_b_map": [[valid, {"a": [0]}]],
+            "ray7_map": cusp_ray7_pairs()}
     for name, pairs in maps.items():
         doc = {"version": 1} if pairs is None else {"version": 1,
                                                     "pairs": pairs}
@@ -534,7 +585,8 @@ def test_library_value_errors_exit_3(capsys, files, tmp_path, argv):
     paths = {name: str(tmp_path / f"{name}.json")
              for name in ("one_point", "bare_curve", *maps)}
     code, out, err = run(capsys, *[a.format(ag21=files["ag21"],
-                                            ag32=files["ag32"], **paths)
+                                            ag32=files["ag32"],
+                                            f3=files["f3"], **paths)
                                    for a in argv])
     assert code == 3 and out == ""
     assert err.startswith("error: ")

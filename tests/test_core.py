@@ -9,9 +9,11 @@ from strposet import (HARD_MAX_TIER, IsoMap, PosetFragment, bits_of,
 from strposet.core import mask_image
 
 from conftest import fragments
-from helpers import (MIN_ELEMENT, ElementId, SmallPoset, Tier, elements, h1,
-                     h2, height, is_identity, iso_apply, leq,
-                     longest_chain_length, lower_set, make_f0, mask_image_by_generators, mub,
+from helpers import (MIN_ELEMENT, ElementId, SmallPoset, Tier,
+                     common_h1_below_by_generators,
+                     common_h2_above_by_generators, elements, h1, h2, height,
+                     is_identity, iso_apply, leq, longest_chain_length,
+                     lower_set, make_f0, mask_image_by_generators, mub,
                      pair_set_json, pair_set_preserved,
                      small_poset_isomorphic, upper_set)
 
@@ -273,6 +275,15 @@ def test_iso_mask_images_match_generator_route(frag, seed, data):
     b = data.draw(st.integers(0, frag.all_h2_mask))
     assert iso.h1_mask_image(a) == mask_image_by_generators(a, iso.h1_map)
     assert iso.h2_mask_image(b) == mask_image_by_generators(b, iso.h2_map)
+
+
+@given(fragments(), st.data())
+@settings(max_examples=200)
+def test_common_sets_match_generator_route(frag, data):
+    a = data.draw(st.integers(0, frag.all_h1_mask))
+    b = data.draw(st.integers(0, frag.all_h2_mask))
+    assert frag.common_h2_above(a) == common_h2_above_by_generators(frag, a)
+    assert frag.common_h1_below(b) == common_h1_below_by_generators(frag, b)
 
 
 @st.composite

@@ -12,12 +12,14 @@ from strposet import (DomainSpec, GeneratorParams, IsoMap, PosetFragment,
                       induce_str_iso, json_text, random_fragment, ray_node,
                       relabel, rho1_from_psi, rho1_from_rays, rho2_from_phi,
                       round_trip, verify_factorization)
+from strposet import reconstruction
 from strposet.reconstruction import MAX_DOMAIN_NODES, domain_size
 
 from conftest import fragments
-from helpers import (brute_k_sets, enumerate_domain, induce_str_iso_by_domain,
-                     k_sets, restrict_support, rho1_from_psi_by_curve,
-                     unmap, validate_all_pairs, verify_factorization_by_node)
+from helpers import (brute_k_sets, census_fragments, enumerate_domain,
+                     induce_str_iso_by_domain, k_sets, restrict_support,
+                     rho1_from_psi_by_curve, rho2_from_phi_by_node, unmap,
+                     validate_all_pairs, verify_factorization_by_node)
 
 
 def identity_iso(frag):
@@ -154,6 +156,24 @@ def test_striso_validate_reports_nonmember_domain_nodes(ag21):
         for order_check in (False, True):
             assert phi.validate(order_check) == [
                 f"domain node {node} is not a member pair"]
+
+
+def test_striso_validate_refuses_foreign_ray_nodes(f3):
+    # a ray tag that names no curve (7) or another curve (1) than the node's
+    phi = induce_str_iso(identity_iso(f3), DomainSpec(include_rays=True))
+    ray = ray_node(f3, 0)
+    for tag in (7, 1):
+        bad = ray._replace(ray_of=tag)
+        as_node = StrIso(f3, f3, {bad if n == ray else n: img
+                                  for n, img in phi.table.items()})
+        as_image = StrIso(f3, f3, {**phi.table, ray: bad})
+        assert as_node.validate(order_check=False) == [
+            f"domain node {bad} is not the ray node of its curve"]
+        assert as_image.validate(order_check=False) == [
+            f"image {bad} of {ray} is not the ray node of its curve"]
+        for broken in (as_node, as_image):
+            with pytest.raises(ValueError, match="not the ray node"):
+                StrIso.from_json(f3, f3, broken.to_json())
 
 
 def shuffle_images(phi, seed):
@@ -403,15 +423,17 @@ def test_verify_factorization_catches_damage(f0):
 # -- fiber-wise routes against the node-by-node oracles -----------------------
 
 
-def rho1_outcome(route, psi, size_cap):
-    """Everything a curve-map route shows: the map and trace bytes, or the
-    error and the trace it carries, plus the probes spent either way."""
+def route_outcome(route, psi, *args):
+    """Everything a reconstruction route shows: the map and trace bytes, or
+    the error and the trace it carries, plus the probes spent either way."""
     try:
-        rho1, trace = route(psi, size_cap)
+        rho, trace = route(psi, *args)
     except ReconstructionError as exc:
         return ("error", str(exc), json_text(exc.trace.to_json()),
                 psi.probes)
-    return rho1, json_text(trace.to_json()), psi.probes
+    if isinstance(rho, IsoMap):
+        rho = rho.to_json()
+    return rho, json_text(trace.to_json()), psi.probes
 
 
 def assert_routes_agree(rho, spec, damage="honest", seed=0):
@@ -428,9 +450,11 @@ def assert_routes_agree(rho, spec, damage="honest", seed=0):
     def copy():
         return StrIso(phi.fragment_x, phi.fragment_y, phi.table)
 
+    assert route_outcome(rho2_from_phi, copy()) == \
+        route_outcome(rho2_from_phi_by_node, copy())
     for size_cap in sorted({1, 2, spec.k_cap}):
-        assert rho1_outcome(rho1_from_psi, copy(), size_cap) == \
-            rho1_outcome(rho1_from_psi_by_curve, copy(), size_cap)
+        assert route_outcome(rho1_from_psi, copy(), size_cap) == \
+            route_outcome(rho1_from_psi_by_curve, copy(), size_cap)
     other = relabel(rho.source, seed + 1)[1]
     for hypothesis in (rho, other):
         fast, slow = copy(), copy()
@@ -465,6 +489,54 @@ def test_reconstruction_routes_agree_on_planted(planted3):
 def test_reconstruction_routes_agree_on_affine_plane_3_2():
     assert_routes_agree(relabel(affine_plane_fragment(3, 2), 1)[1],
                         DomainSpec(k_cap=2))
+
+
+@given(fragments(max_n1=6, max_n2=3), st.integers(0, 10 ** 6),
+       st.integers(2, 3), st.integers(4, 8))
+@settings(max_examples=60, deadline=None)
+def test_size_cap_beyond_the_domain_changes_nothing(frag, seed, k_cap, cap):
+    # K-sets larger than the map's first ordinates are never tabulated, so
+    # the capped pass and the uncapped oracle give the same bytes and probes
+    psi = induce_str_iso(relabel(frag, seed)[1], DomainSpec(k_cap=k_cap))
+    outcomes = [route_outcome(route, StrIso(frag, psi.fragment_y, psi.table),
+                              size_cap)
+                for route, size_cap in ((rho1_from_psi, k_cap),
+                                        (rho1_from_psi, cap),
+                                        (rho1_from_psi_by_curve, cap))]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+CENSUS = census_fragments(5, 3)
+
+
+def test_census_never_returns_a_wrong_map(monkeypatch):
+    """Every class up to 5 curves and 3 points, k_cap 2 and 3, psi-only and
+    with rays, seeds 0-2: build_rho either raises or returns the hidden
+    map, and its fast stages agree with the node-by-node ones on the map,
+    the trace bytes and the probes."""
+    assert len(CENSUS) == 189
+    built = 0
+    for frag in CENSUS:
+        for seed in (0, 1, 2):
+            rho = relabel(frag, seed)[1]
+            for k_cap in (2, 3):
+                for rays in (False, True):
+                    spec = DomainSpec(k_cap=k_cap, include_rays=rays)
+                    fast = route_outcome(build_rho, induce_str_iso(rho, spec),
+                                         k_cap, rays)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(reconstruction, "rho2_from_phi",
+                                      rho2_from_phi_by_node)
+                        patch.setattr(reconstruction, "rho1_from_psi",
+                                      rho1_from_psi_by_curve)
+                        slow = route_outcome(
+                            build_rho, induce_str_iso_by_domain(rho, spec),
+                            k_cap, rays)
+                    assert fast == slow, (frag.up, seed, k_cap, rays)
+                    if fast[0] != "error":
+                        assert fast[0] == rho.to_json(), (frag.up, seed)
+                        built += 1
+    assert built > 0
 
 
 # -- psi to phi ---------------------------------------------------------------

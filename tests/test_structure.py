@@ -12,6 +12,7 @@ from strposet import (GeneratorParams, StrNode, counting_formula,
                       join_above, mu_statistic, parity_mub_check,
                       random_fragment, ray_node, str_leq, str_leq_bruteforce,
                       str_member, w_max)
+from strposet.structure import node_from_tuple
 
 from conftest import fragment_and_member, fragments
 from helpers import (SmallPoset, brute_down_set_size, brute_fhp,
@@ -156,6 +157,16 @@ def test_str_node_hash_agrees_with_eq(u_parts, v_parts):
         assert hash(u) == hash(v) and len({u, v}) == 1
     else:
         assert len({u, v}) == 2
+
+
+@given(st.tuples(*_NODE_PARTS))
+@settings(max_examples=100)
+def test_node_from_tuple_is_the_same_node(parts):
+    fast, slow = node_from_tuple(parts), StrNode(*parts)
+    assert type(fast) is StrNode
+    assert (fast.a_mask, fast.b_mask, fast.ray_of) == parts
+    assert fast == slow and hash(fast) == hash(slow)
+    assert repr(fast) == repr(slow)
 
 
 def test_str_leq_matches_bruteforce_exhaustively():
