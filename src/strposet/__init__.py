@@ -6,14 +6,13 @@ from .core import (HARD_MAX_TIER, IsoMap, PosetFragment, ValidationReport,
                    bits_of, mask_of, relabel, validate)
 from .conditions import (BatteryReport, ConditionReport, check_j1, check_j2,
                          check_j4, check_p1_to_p4, find_j3_witness,
-                         find_p5_witness, find_special_t, survey_j3,
-                         survey_p5, witness_battery)
-from .structure import (FiberView, StrNode, counting_formula, detect_I2,
-                        dominates_via, down_set_in_fiber, ell,
-                        enumerate_fiber, eta, fiber_height_positive,
-                        finite_node, format_node, has_strictly_smaller,
-                        join_above, mu_statistic, parity_mub_check, ray_node,
-                        str_leq, str_leq_bruteforce, str_member, w_max)
+                         find_p5_witness, survey_j3, survey_p5,
+                         witness_battery)
+from .structure import (FiberView, StrNode, counting_formula,
+                        down_set_in_fiber, enumerate_fiber, finite_node,
+                        format_node, has_strictly_smaller, mu_statistic,
+                        parity_mub_check, ray_node, str_leq,
+                        str_leq_bruteforce, str_member, w_max)
 from .models import (FragmentFormatError, GeneratorParams,
                      affine_plane_fragment, cusp_fragment, dumps_fragment,
                      fragment_from_json, fragment_to_json, json_text,
@@ -21,9 +20,9 @@ from .models import (FragmentFormatError, GeneratorParams,
 from .reconstruction import (DomainSpec, FactorizationReport,
                              ReconstructionError, ReconstructionTrace,
                              RoundTripResult, StrIso, build_rho,
-                             corrupt_str_iso, extend_psi_to_phi,
-                             induce_str_iso, rho1_from_psi, rho1_from_rays,
-                             rho2_from_phi, round_trip, verify_factorization)
+                             corrupt_str_iso, induce_str_iso, rho1_from_psi,
+                             rho1_from_rays, rho2_from_phi, round_trip,
+                             verify_factorization)
 
 __version__ = "0.1.0"
 
@@ -31,21 +30,18 @@ __all__ = [
     "HARD_MAX_TIER", "IsoMap", "PosetFragment", "ValidationReport",
     "bits_of", "mask_of", "relabel", "validate",
     "BatteryReport", "ConditionReport", "check_j1", "check_j2", "check_j4",
-    "check_p1_to_p4", "find_j3_witness", "find_p5_witness",
-    "find_special_t", "survey_j3", "survey_p5", "witness_battery",
-    "FiberView", "StrNode", "counting_formula", "detect_I2",
-    "dominates_via", "down_set_in_fiber", "ell", "enumerate_fiber", "eta",
-    "fiber_height_positive", "finite_node", "format_node",
-    "has_strictly_smaller", "join_above", "mu_statistic",
-    "parity_mub_check", "ray_node", "str_leq", "str_leq_bruteforce",
-    "str_member", "w_max",
+    "check_p1_to_p4", "find_j3_witness", "find_p5_witness", "survey_j3",
+    "survey_p5", "witness_battery",
+    "FiberView", "StrNode", "counting_formula", "down_set_in_fiber",
+    "enumerate_fiber", "finite_node", "format_node", "has_strictly_smaller",
+    "mu_statistic", "parity_mub_check", "ray_node", "str_leq",
+    "str_leq_bruteforce", "str_member", "w_max",
     "FragmentFormatError", "GeneratorParams", "affine_plane_fragment",
     "cusp_fragment", "dumps_fragment", "fragment_from_json",
     "fragment_to_json", "json_text", "load_fragment", "random_fragment",
     "save_fragment",
     "DomainSpec", "FactorizationReport", "ReconstructionError",
     "ReconstructionTrace", "RoundTripResult", "StrIso", "build_rho",
-    "corrupt_str_iso", "extend_psi_to_phi", "induce_str_iso",
-    "rho1_from_psi", "rho1_from_rays", "rho2_from_phi", "round_trip",
-    "verify_factorization",
+    "corrupt_str_iso", "induce_str_iso", "rho1_from_psi", "rho1_from_rays",
+    "rho2_from_phi", "round_trip", "verify_factorization",
 ]

@@ -64,21 +64,17 @@ def check_p1_to_p4(fragment: PosetFragment, k: int = 2
     return reports
 
 
-def _check_window(fragment: PosetFragment, s_mask: int, t_mask: int) -> None:
+def find_p5_witness(fragment: PosetFragment, s_mask: int, t_mask: int
+                    ) -> Optional[int]:
+    """First height-one w below all of T such that every point above both w
+    and some member of S lies in T.  None when the window has no witness.
+    """
     if not s_mask or not t_mask:
         raise ValueError("S and T must be nonempty")
     if s_mask & ~fragment.all_h1_mask:
         raise ValueError("S is not an h1 mask of this fragment")
     if t_mask & ~fragment.all_h2_mask:
         raise ValueError("T is not an h2 mask of this fragment")
-
-
-def find_p5_witness(fragment: PosetFragment, s_mask: int, t_mask: int
-                    ) -> Optional[int]:
-    """First height-one w below all of T such that every point above both w
-    and some member of S lies in T.  None when the window has no witness.
-    """
-    _check_window(fragment, s_mask, t_mask)
     for w in bits_of(fragment.common_h1_below(t_mask)):
         upw = fragment.up[w]
         if all((fragment.up[s] & upw & ~t_mask) == 0 for s in bits_of(s_mask)):
@@ -164,14 +160,6 @@ def check_j4(fragment: PosetFragment, tmax: int = 2) -> ConditionReport:
                 failures.append(
                     {"T": [fragment.h2_labels[j] for j in combo]})
     return ConditionReport("J4", not failures, {"tmax": tmax}, failures)
-
-
-def find_special_t(fragment: PosetFragment, s_mask: int, t_mask: int
-                   ) -> Optional[int]:
-    """Lowest height-one t outside S lying below every point of T."""
-    _check_window(fragment, s_mask, t_mask)
-    outside = fragment.common_h1_below(t_mask) & ~s_mask
-    return (outside & -outside).bit_length() - 1 if outside else None
 
 
 # -- the battery gating reconstruction round trips --------------------------

@@ -143,9 +143,6 @@ class StrIso:
         self.probes += 1
         return self.table[node]
 
-    def reset_probes(self) -> None:
-        self.probes = 0
-
     def validate(self, order_check: bool = True) -> list[str]:
         """Invariant audit: domain nodes and their images are member pairs,
         a node or image tagged as the ray of curve x is ``ray_node`` of x in
@@ -225,7 +222,7 @@ class StrIso:
         phi = cls(fragment_x, fragment_y, table)
         if problems := phi.validate(order_check=False):
             raise ValueError("; ".join(problems[:5]))
-        phi.reset_probes()
+        phi.probes = 0
         return phi
 
 
@@ -431,18 +428,24 @@ def build_rho(phi: StrIso, size_cap: int = 3, prefer_rays: bool = True
 
     Failure never yields a partial or guessed map: conflicts (fiber splits,
     ambiguous curves, incidence violations) surface in the trace of the
-    raised error.
+    raised error.  When the curve map itself raises, its trace is merged
+    into the point map's before the error is raised again.
     """
     rho2, trace = rho2_from_phi(phi)
     fx = phi.fragment_x
-    if prefer_rays and ({ray for _, _, ray in phi.table} - {None}
-                        == set(range(fx.n1))):
-        rho1, t1 = rho1_from_rays(phi)
-    else:
-        rho1, t1 = rho1_from_psi(phi, size_cap)
+    rays = prefer_rays and ({ray for _, _, ray in phi.table} - {None}
+                            == set(range(fx.n1)))
+    failure = None
+    try:
+        rho1, t1 = (rho1_from_rays(phi) if rays
+                    else rho1_from_psi(phi, size_cap))
+    except ReconstructionError as exc:
+        failure, t1 = exc, exc.trace
     trace.rho1_table.update(t1.rho1_table)
     trace.conflicts.extend(t1.conflicts)
     trace.evidence = t1.evidence
+    if failure is not None:
+        raise ReconstructionError(str(failure), trace) from failure
     if trace.conflicts:
         raise ReconstructionError("conflicting evidence; see trace", trace)
     try:
@@ -492,20 +495,6 @@ def verify_factorization(phi: StrIso, rho: IsoMap) -> FactorizationReport:
     return FactorizationReport(len(phi.domain), violations)
 
 
-def extend_psi_to_phi(psi: StrIso, size_cap: int = 3) -> StrIso:
-    """Grow a finite-nodes-only map to one defined on ray nodes as well,
-    using the K-set curve map; raises with the trace when curves stay
-    ambiguous."""
-    rho1, trace = rho1_from_psi(psi, size_cap)
-    if trace.conflicts:
-        raise ReconstructionError("cannot extend: see trace", trace)
-    fx, fy = psi.fragment_x, psi.fragment_y
-    table = {node: img for node, img in psi.table.items() if not node.is_ray}
-    for x in range(fx.n1):
-        table[ray_node(fx, x)] = ray_node(fy, rho1[x])
-    return StrIso(fx, fy, table)
-
-
 # -- relabel round trip -------------------------------------------------------
 
 
@@ -516,8 +505,6 @@ class RoundTripResult:
     probes: int
     battery_passed: bool
     battery_reasons: list
-    exact: Optional[bool] = None
-    factorization_clean: Optional[bool] = None
 
     def to_json(self) -> dict:
         return {"version": 1, "recovered": self.recovered,
@@ -548,7 +535,7 @@ def round_trip(fragment: PosetFragment, seed: int, psi_only: bool = True,
     phi = induce_str_iso(rho_star, spec)
     if corrupt:
         phi = corrupt_str_iso(phi, seed)
-    phi.reset_probes()
+    phi.probes = 0
     try:
         rho_hat, trace = build_rho(phi, size_cap=k_cap,
                                    prefer_rays=not psi_only)
@@ -560,5 +547,4 @@ def round_trip(fragment: PosetFragment, seed: int, psi_only: bool = True,
              and rho_hat.h2_map == rho_star.h2_map)
     conflicts = list(trace.conflicts) + list(report.violations)
     return RoundTripResult(exact and report.clean, conflicts, phi.probes,
-                           battery.passed, list(battery.reasons),
-                           exact=exact, factorization_clean=report.clean)
+                           battery.passed, list(battery.reasons))

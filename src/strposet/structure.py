@@ -22,7 +22,6 @@ from itertools import combinations
 from types import MethodType
 from typing import NamedTuple, Optional, Union
 
-from .conditions import find_j3_witness
 from .core import HARD_MAX_TIER, PosetFragment, bits_of, mask_of
 
 BRUTE_CAP = 16
@@ -151,21 +150,6 @@ def _breaks_witness(fragment: PosetFragment, a: int, w: int, d: int) -> bool:
     return False
 
 
-def dominates_via(fragment: PosetFragment, upper: NodeLike, lower: NodeLike,
-                  witness_mask: int) -> bool:
-    """Whether (C, D) = upper dominates (A, B) = lower via the witness set."""
-    c, d = require_member(fragment, upper)
-    a, b = require_member(fragment, lower)
-    # E1: A strictly below C, D within B.
-    if a & ~c or a == c or d & ~b:
-        return False
-    # E2: nonempty witness inside C, below all of D.
-    if not witness_mask or witness_mask & ~(c & fragment.common_h1_below(d)):
-        return False
-    # E3: points above the witness set and any curve of A stay inside D.
-    return not _breaks_witness(fragment, a, witness_mask, d)
-
-
 def _leq_masks(fragment: PosetFragment, a: int, b: int, c: int, d: int) -> bool:
     """Order test on member pairs; no membership validation (hot path)."""
     if a == c and b == d:
@@ -234,36 +218,6 @@ def str_leq_bruteforce(fragment: PosetFragment, lower: NodeLike,
     return False
 
 
-def ell(fragment: PosetFragment, node: NodeLike) -> int:
-    """Number of curves of A below every point of B (at least 1 on members)."""
-    a, b = require_member(fragment, node)
-    return w_max(fragment, a, b).bit_count()
-
-
-def eta(fragment: PosetFragment, node: NodeLike) -> int:
-    a, b = require_member(fragment, node)
-    return a.bit_count() - w_max(fragment, a, b).bit_count()
-
-
-def _is_mub(fragment: PosetFragment, k: int, b: int) -> bool:
-    """B = mub K for a curve set K: at least two curves, and their common
-    upper set is exactly B."""
-    return k.bit_count() >= 2 and fragment.common_h2_above(k) == b
-
-
-def fiber_height_positive(fragment: PosetFragment, node: NodeLike) -> bool:
-    """True iff B is the minimal upper bound set of some K inside A.
-
-    Any such K consists of curves below all of B, and shrinking K only grows
-    its common upper set, so K exists iff the full set W = w_max(A, B) has
-    at least two curves and common upper set exactly B.
-    """
-    a, b = require_member(fragment, node)
-    if a.bit_count() > ENUM_CAP:
-        raise ValueError(f"first ordinate larger than {ENUM_CAP}")
-    return _is_mub(fragment, w_max(fragment, a, b), b)
-
-
 def has_strictly_smaller(fragment: PosetFragment, node: NodeLike) -> bool:
     """True iff some member node sits strictly below (A, B) in the fiber.
 
@@ -273,9 +227,10 @@ def has_strictly_smaller(fragment: PosetFragment, node: NodeLike) -> bool:
     condition becomes vacuous), so one exists as soon as |A| >= 2.  When it
     is larger than B, any a below all of B breaks the witness condition for
     every W, and every member A' contains such an a, so nothing lies below.
-    This differs from fiber_height_positive exactly on nodes whose single
-    fully-below curve w has upper set B: those sit above the one-curve nodes
-    (w', B) without B being a minimal upper bound set inside A.
+    Positive height in this sense is weaker than B being the minimal upper
+    bound set of some K inside A: a node whose single fully-below curve w
+    has upper set B sits above the one-curve node (w, B), yet no such K
+    exists, since a K needs two curves (the ray shadows in the tests).
     """
     a, b = require_member(fragment, node)
     if a.bit_count() < 2:
@@ -426,13 +381,8 @@ def parity_mub_check(fragment: PosetFragment, node: NodeLike) -> bool:
     if not has_strictly_smaller(fragment, (a, b)):
         raise ValueError("parity check needs a positive-height node")
     odd = len(down_set_in_fiber(fragment, (a, b))) % 2 == 1
-    return _is_mub(fragment, a, b) == odd
-
-
-def detect_I2(fragment: PosetFragment, node: NodeLike) -> bool:
-    """Down set shaped like two points under one top: |A| = 2 and B = mub A."""
-    a, b = require_member(fragment, node)
-    return a.bit_count() == 2 and _is_mub(fragment, a, b)
+    is_mub = a.bit_count() >= 2 and fragment.common_h2_above(a) == b
+    return is_mub == odd
 
 
 def mu_statistic(fragment: PosetFragment, x: int, m: int, amax: int = 4
@@ -467,17 +417,3 @@ def mu_statistic(fragment: PosetFragment, x: int, m: int, amax: int = 4
     if k is None:
         return math.inf, ge4
     return (2 ** k.bit_count() - 1) * 2 ** junk, ge4
-
-
-def join_above(fragment: PosetFragment, first: NodeLike, second: NodeLike,
-               b: int, size_cap: int = 4) -> Optional[StrNode]:
-    """Common upper node (K + A + C, {b}) for two nodes sharing the point b,
-    built from a J3 witness disjoint from both first ordinates."""
-    a1, b1 = require_member(fragment, first)
-    a2, b2 = require_member(fragment, second)
-    if not (b1 >> b & 1 and b2 >> b & 1):
-        raise ValueError("both nodes must carry the point b")
-    k = find_j3_witness(fragment, b, a1 | a2, size_cap)
-    if k is None:
-        return None
-    return StrNode(k | a1 | a2, 1 << b)

@@ -5,7 +5,9 @@ call the element-level mub) rather than reusing the library's closed forms,
 so the two implementations check each other.  The element-level model of a
 fragment (``ElementId``, ``leq``, ``mub``, ...), the abstract ``SmallPoset``
 with its isomorphism test, and the order-walking ``FiberView`` queries live
-here: the library itself works on bitmasks only.
+here: the library itself works on bitmasks only.  So do the oracles and
+paper constructions that no verb runs, such as ``dominates_via``,
+``join_above`` and ``extend_psi_to_phi``.
 """
 
 from dataclasses import dataclass
@@ -17,8 +19,10 @@ from typing import Iterable, Optional, Sequence
 from strposet import (DomainSpec, FactorizationReport, FiberView, IsoMap,
                       PosetFragment, ReconstructionError,
                       ReconstructionTrace, StrIso, StrNode, bits_of,
-                      finite_node, mask_of, ray_node, str_leq,
-                      str_leq_bruteforce, str_member)
+                      find_j3_witness, finite_node, mask_of, ray_node,
+                      rho1_from_psi, str_leq, str_leq_bruteforce, str_member,
+                      w_max)
+from strposet.structure import ENUM_CAP, NodeLike, require_member
 
 
 # -- the element-level model of a fragment -----------------------------------
@@ -413,6 +417,93 @@ def brute_k_sets(fragment: PosetFragment, x: int, cap: int):
     return out
 
 
+# -- oracles and paper constructions that no verb runs ----------------------
+
+
+def dominates_via(fragment: PosetFragment, upper: NodeLike, lower: NodeLike,
+                  witness_mask: int) -> bool:
+    """Whether (C, D) = upper dominates (A, B) = lower via the witness set W.
+
+    E1-E3 are read literally over ``fragment.up``, so this oracle shares no
+    code with ``str_leq``'s canonical-witness test."""
+    c, d = require_member(fragment, upper)
+    a, b = require_member(fragment, lower)
+    up = fragment.up
+    # E1: A strictly below C, D within B.
+    if a & ~c or a == c or d & ~b:
+        return False
+    # E2: nonempty witness inside C, each of its curves below all of D.
+    if not witness_mask or witness_mask & ~c:
+        return False
+    if any(d & ~up[i] for i in bits_of(witness_mask)):
+        return False
+    # E3: points above every curve of W and some curve of A stay inside D.
+    common = fragment.all_h2_mask
+    for i in bits_of(witness_mask):
+        common &= up[i]
+    return not any(up[i] & common & ~d for i in bits_of(a))
+
+
+def ell(fragment: PosetFragment, node: NodeLike) -> int:
+    """Number of curves of A below every point of B (at least 1 on members)."""
+    a, b = require_member(fragment, node)
+    return w_max(fragment, a, b).bit_count()
+
+
+def eta(fragment: PosetFragment, node: NodeLike) -> int:
+    """Number of curves of A not below every point of B."""
+    a, b = require_member(fragment, node)
+    return a.bit_count() - w_max(fragment, a, b).bit_count()
+
+
+def fiber_height_positive(fragment: PosetFragment, node: NodeLike) -> bool:
+    """True iff B is the minimal upper bound set of some K inside A.
+
+    Any such K consists of curves below all of B, and shrinking K only grows
+    its common upper set, so K exists iff the full set W = w_max(A, B) has
+    at least two curves and common upper set exactly B.
+    """
+    a, b = require_member(fragment, node)
+    if a.bit_count() > ENUM_CAP:
+        raise ValueError(f"first ordinate larger than {ENUM_CAP}")
+    w = w_max(fragment, a, b)
+    return w.bit_count() >= 2 and fragment.common_h2_above(w) == b
+
+
+def detect_I2(fragment: PosetFragment, node: NodeLike) -> bool:
+    """Down set shaped like two points under one top: |A| = 2 and B = mub A."""
+    a, b = require_member(fragment, node)
+    return a.bit_count() == 2 and fragment.common_h2_above(a) == b
+
+
+def join_above(fragment: PosetFragment, first: NodeLike, second: NodeLike,
+               b: int, size_cap: int = 4) -> Optional[StrNode]:
+    """Common upper node (K + A + C, {b}) for two nodes sharing the point b,
+    built from a J3 witness disjoint from both first ordinates."""
+    a1, b1 = require_member(fragment, first)
+    a2, b2 = require_member(fragment, second)
+    if not (b1 >> b & 1 and b2 >> b & 1):
+        raise ValueError("both nodes must carry the point b")
+    k = find_j3_witness(fragment, b, a1 | a2, size_cap)
+    if k is None:
+        return None
+    return StrNode(k | a1 | a2, 1 << b)
+
+
+def find_special_t(fragment: PosetFragment, s_mask: int, t_mask: int
+                   ) -> Optional[int]:
+    """Lowest height-one t outside S lying below every point of T; refuses
+    the windows ``find_p5_witness`` refuses."""
+    if not s_mask or not t_mask:
+        raise ValueError("S and T must be nonempty")
+    if s_mask & ~fragment.all_h1_mask:
+        raise ValueError("S is not an h1 mask of this fragment")
+    if t_mask & ~fragment.all_h2_mask:
+        raise ValueError("T is not an h2 mask of this fragment")
+    outside = fragment.common_h1_below(t_mask) & ~s_mask
+    return (outside & -outside).bit_length() - 1 if outside else None
+
+
 def find_special_t_recipe(fragment: PosetFragment, s_mask: int,
                           t_mask: int) -> Optional[int]:
     """``find_special_t`` by the constructive recipe: find a point v above
@@ -709,6 +800,20 @@ def verify_factorization_by_node(phi: StrIso, rho: IsoMap
                  "a_star": list(bits_of(inv.h1_mask_image(img.a_mask))),
                  "b_star": list(bits_of(inv.h2_mask_image(img.b_mask)))})
     return FactorizationReport(len(phi.domain), violations)
+
+
+def extend_psi_to_phi(psi: StrIso, size_cap: int = 3) -> StrIso:
+    """Grow a finite-nodes-only map to one defined on ray nodes as well,
+    using the K-set curve map; raises with the trace when curves stay
+    ambiguous."""
+    rho1, trace = rho1_from_psi(psi, size_cap)
+    if trace.conflicts:
+        raise ReconstructionError("cannot extend: see trace", trace)
+    fx, fy = psi.fragment_x, psi.fragment_y
+    table = {node: img for node, img in psi.table.items() if not node.is_ray}
+    for x in range(fx.n1):
+        table[ray_node(fx, x)] = ray_node(fy, rho1[x])
+    return StrIso(fx, fy, table)
 
 
 def census_fragments(max_n1: int, max_n2: int) -> list[PosetFragment]:

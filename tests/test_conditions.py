@@ -4,11 +4,12 @@ from hypothesis import strategies as st
 
 from strposet import (GeneratorParams, affine_plane_fragment, check_j1,
                       check_j2, check_j4, check_p1_to_p4, find_j3_witness,
-                      find_p5_witness, find_special_t, random_fragment,
-                      survey_j3, survey_p5, witness_battery)
+                      find_p5_witness, random_fragment, survey_j3, survey_p5,
+                      witness_battery)
 
 from conftest import fragments
-from helpers import brute_j3, find_special_t_recipe, make_f0, make_f3
+from helpers import (brute_j3, find_special_t, find_special_t_recipe,
+                     make_f0, make_f3)
 
 
 # -- P conditions -------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Every import in `src/strposet` is used: a stdlib `ast` scan."""
+"""Every import in `src/strposet` is used, and every exported name is run
+by the library or the benchmark: stdlib `ast` scans."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "strposet"
+import strposet
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "strposet"
+BENCH = REPO / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,3 +59,30 @@ def test_unused_import_scan():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def names_read(sources: list[str]) -> set[str]:
+    """Every bare name and every attribute name the sources read."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def test_names_read_scan():
+    source = ("from .core import bits_of\n"
+              "def f(frag):\n"
+              "    return frag.up, w_max(frag)\n")
+    assert names_read([source]) == {"frag", "up", "w_max"}
+
+
+def test_every_export_is_read_by_the_library_or_the_benchmark():
+    """A name in ``__all__`` that only tests read belongs in the tests."""
+    paths = [path for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"] + sorted(BENCH.glob("*.py"))
+    read = names_read([path.read_text(encoding="utf-8") for path in paths])
+    assert [name for name in strposet.__all__ if name not in read] == []

