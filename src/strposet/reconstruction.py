@@ -15,9 +15,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Optional
 
-from .conditions import BatteryReport, witness_battery
 from .core import IsoMap, PosetFragment, bits_of, mask_image, relabel
 from .structure import (StrNode, node_from_tuple, ray_node, str_leq,
                         str_member)
@@ -131,13 +129,18 @@ class StrIso:
     counts lookups so consumers can report how much of the map they touched.
     """
 
+    __slots__ = ("fragment_x", "fragment_y", "table", "probes")
+
     def __init__(self, fragment_x: PosetFragment, fragment_y: PosetFragment,
                  table: dict):
         self.fragment_x = fragment_x
         self.fragment_y = fragment_y
         self.table = table
-        self.domain = list(table)
         self.probes = 0
+
+    @property
+    def domain(self) -> list[StrNode]:
+        return list(self.table)
 
     def map(self, node: StrNode) -> StrNode:
         self.probes += 1
@@ -160,8 +163,8 @@ class StrIso:
         if len(inverse) != len(self.table):
             problems.append("codomain has repeated nodes")
         fx, fy = self.fragment_x, self.fragment_y
-        images = []
-        for node in self.domain:
+        domain, images = self.domain, []
+        for node in domain:
             if not _is_member(fx, node):
                 problems.append(f"domain node {node} is not a member pair")
             img = self.map(node)
@@ -180,10 +183,10 @@ class StrIso:
                 problems.append(f"inverse(map({node})) = {back}")
         if problems or not order_check:
             return problems
-        candidates = (_nesting_pairs([u.a_mask for u in self.domain])
+        candidates = (_nesting_pairs([u.a_mask for u in domain])
                       | _nesting_pairs([fu.a_mask for fu in images]))
         for i, j in sorted(candidates):
-            u, v, fu, fv = self.domain[i], self.domain[j], images[i], images[j]
+            u, v, fu, fv = domain[i], domain[j], images[i], images[j]
             # u <= v needs v's points within u's; same on the image side.
             x_possible = v.b_mask & ~u.b_mask == 0
             y_possible = fv.b_mask & ~fu.b_mask == 0
@@ -258,7 +261,7 @@ def corrupt_str_iso(phi: StrIso, seed: int = 0) -> StrIso:
     """Swap the images of two finite domain nodes from different fibers;
     for exercising conflict reporting."""
     rng = random.Random(seed)
-    finite = [n for n in phi.domain if not n.is_ray]
+    finite = [n for n in phi.table if not n.is_ray]
     rng.shuffle(finite)
     for u, v in combinations(finite, 2):
         if u.b_mask != v.b_mask:
@@ -492,7 +495,7 @@ def verify_factorization(phi: StrIso, rho: IsoMap) -> FactorizationReport:
                  "a_star": list(bits_of(inv.h1_mask_image(img.a_mask))),
                  "b_star": list(bits_of(inv.h2_mask_image(img.b_mask)))})
     phi.probes += len(phi.table)
-    return FactorizationReport(len(phi.domain), violations)
+    return FactorizationReport(len(phi.table), violations)
 
 
 # -- relabel round trip -------------------------------------------------------
@@ -503,48 +506,37 @@ class RoundTripResult:
     recovered: bool
     conflicts: list
     probes: int
-    battery_passed: bool
-    battery_reasons: list
 
     def to_json(self) -> dict:
         return {"version": 1, "recovered": self.recovered,
-                "conflicts": list(self.conflicts), "probes": self.probes,
-                "battery": {"passed": self.battery_passed,
-                            "reasons": list(self.battery_reasons)}}
+                "conflicts": list(self.conflicts), "probes": self.probes}
 
 
 def round_trip(fragment: PosetFragment, seed: int, psi_only: bool = True,
-               k_cap: int = 3, corrupt: bool = False,
-               battery: Optional[BatteryReport] = None) -> RoundTripResult:
+               k_cap: int = 3, corrupt: bool = False) -> RoundTripResult:
     """Relabel with a hidden map, induce the node map, reconstruct, compare.
 
     ``recovered`` demands the exact hidden map back plus a clean
     factorization check; with ``corrupt`` the induced map is damaged first
-    to exercise the conflict paths.  ``battery`` is the fragment's default
-    ``witness_battery`` report, computed here unless the caller has it.
-    A k_cap that can never recover raises ValueError.
+    to exercise the conflict paths.  A k_cap that can never recover raises
+    ValueError.
     """
     if k_cap < (2 if psi_only else 1):
         raise ValueError(f"k_cap {k_cap} can never recover: " + (
             "K-sets have at least two curves; use k_cap >= 2 or rays"
             if psi_only else "every fiber needs a node; use k_cap >= 1"))
-    if battery is None:
-        battery = witness_battery(fragment)
-    relabeled, rho_star = relabel(fragment, seed)
+    _, rho_star = relabel(fragment, seed)
     spec = DomainSpec(k_cap=k_cap, include_rays=not psi_only)
     phi = induce_str_iso(rho_star, spec)
     if corrupt:
         phi = corrupt_str_iso(phi, seed)
-    phi.probes = 0
     try:
         rho_hat, trace = build_rho(phi, size_cap=k_cap,
                                    prefer_rays=not psi_only)
     except ReconstructionError as exc:
-        return RoundTripResult(False, list(exc.trace.conflicts), phi.probes,
-                               battery.passed, list(battery.reasons))
+        return RoundTripResult(False, list(exc.trace.conflicts), phi.probes)
     report = verify_factorization(phi, rho_hat)
     exact = (rho_hat.h1_map == rho_star.h1_map
              and rho_hat.h2_map == rho_star.h2_map)
     conflicts = list(trace.conflicts) + list(report.violations)
-    return RoundTripResult(exact and report.clean, conflicts, phi.probes,
-                           battery.passed, list(battery.reasons))
+    return RoundTripResult(exact and report.clean, conflicts, phi.probes)

@@ -24,8 +24,7 @@ from typing import NamedTuple, Optional, Union
 
 from .core import HARD_MAX_TIER, PosetFragment, bits_of, mask_of
 
-BRUTE_CAP = 16
-ENUM_CAP = 16
+ENUM_CAP = 16    # largest set whose subsets a walk may visit
 
 NodeLike = Union["StrNode", tuple[int, int]]
 
@@ -192,8 +191,8 @@ def str_leq_bruteforce(fragment: PosetFragment, lower: NodeLike,
     c, d = require_member(fragment, upper)
     if a == c and b == d:
         return _same_node(lower, upper)
-    if c.bit_count() > BRUTE_CAP:
-        raise ValueError(f"first ordinate larger than {BRUTE_CAP}")
+    if c.bit_count() > ENUM_CAP:
+        raise ValueError(f"first ordinate larger than {ENUM_CAP}")
     if a & ~c or a == c or d & ~b:
         return False
     up = fragment.up
@@ -328,28 +327,35 @@ def enumerate_fiber(fragment: PosetFragment, b_mask: int, support_mask: int,
     if amax < 1 or amax > ENUM_CAP:
         raise ValueError(f"amax must be in 1..{ENUM_CAP}")
     idxs = list(bits_of(support_mask))
+    below = fragment.common_h1_below(b_mask)
     nodes = []
     for size in range(1, min(amax, len(idxs)) + 1):
         for combo in combinations(idxs, size):
             a = mask_of(combo)
-            if str_member(fragment, (a, b_mask)):
+            if a & below:
                 nodes.append(StrNode(a, b_mask))
     return _build_view(fragment, b_mask, nodes, support_mask, amax)
 
 
-def down_set_in_fiber(fragment: PosetFragment, node: NodeLike) -> FiberView:
-    """Members (A', B) with A' inside A lying below (A, B); E1 makes the
-    restriction to subsets of A complete."""
-    a, b = require_member(fragment, node)
+def _down_set(fragment: PosetFragment, a: int, b: int) -> list[int]:
+    """First ordinates A' inside A with (A', B) a member below (A, B), in
+    one walk over the subsets of A; E1 makes that restriction complete."""
     if a.bit_count() > ENUM_CAP:
         raise ValueError(f"first ordinate larger than {ENUM_CAP}")
-    nodes = []
+    below = fragment.common_h1_below(b)
+    subs = []
     sub = a
     while sub:
-        if (str_member(fragment, (sub, b))
-                and _leq_masks(fragment, sub, b, a, b)):
-            nodes.append(StrNode(sub, b))
+        if sub & below and _leq_masks(fragment, sub, b, a, b):
+            subs.append(sub)
         sub = (sub - 1) & a
+    return subs
+
+
+def down_set_in_fiber(fragment: PosetFragment, node: NodeLike) -> FiberView:
+    """The view on the members (A', B) below (A, B)."""
+    a, b = require_member(fragment, node)
+    nodes = [StrNode(sub, b) for sub in _down_set(fragment, a, b)]
     return _build_view(fragment, b, nodes, a, a.bit_count())
 
 
@@ -368,7 +374,7 @@ def counting_formula(fragment: PosetFragment, node: NodeLike
     l = w_max(fragment, a, b).bit_count()
     e = a.bit_count() - l
     predicted = (2 ** l - 1) * 2 ** e
-    actual = len(down_set_in_fiber(fragment, (a, b)))
+    actual = len(_down_set(fragment, a, b))
     return predicted, actual
 
 
@@ -380,7 +386,7 @@ def parity_mub_check(fragment: PosetFragment, node: NodeLike) -> bool:
     a, b = require_member(fragment, node)
     if not has_strictly_smaller(fragment, (a, b)):
         raise ValueError("parity check needs a positive-height node")
-    odd = len(down_set_in_fiber(fragment, (a, b))) % 2 == 1
+    odd = len(_down_set(fragment, a, b)) % 2 == 1
     is_mub = a.bit_count() >= 2 and fragment.common_h2_above(a) == b
     return is_mub == odd
 

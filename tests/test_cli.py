@@ -435,6 +435,16 @@ def test_roundtrip_weak_battery_still_ambiguous(capsys, files):
     assert any(c["kind"] == "rho1-ambiguous" for c in data["conflicts"])
 
 
+def test_roundtrip_run_reports_the_battery_last(capsys, files):
+    code, data = run_json(capsys, "roundtrip", files["f3"],
+                          "--allow-weak-battery")
+    assert list(data) == ["version", "recovered", "conflicts", "probes",
+                          "battery"]
+    assert set(data["battery"]) == {"passed", "reasons"}
+    assert data["battery"]["passed"] is False
+    assert data["battery"]["reasons"]
+
+
 def test_roundtrip_weak_battery_can_recover(capsys, files):
     code, data = run_json(capsys, "roundtrip", files["ag21"],
                           "--allow-weak-battery")

@@ -1,5 +1,6 @@
-"""Every import in `src/strposet` is used, and every exported name is run
-by the library or the benchmark: stdlib `ast` scans."""
+"""Every import in `src/strposet` is used, every exported name is run by
+the library or the benchmark, and the modules import each other only down
+the layers: stdlib `ast` scans."""
 
 import ast
 from pathlib import Path
@@ -86,3 +87,44 @@ def test_every_export_is_read_by_the_library_or_the_benchmark():
              if path.name != "__init__.py"] + sorted(BENCH.glob("*.py"))
     read = names_read([path.read_text(encoding="utf-8") for path in paths])
     assert [name for name in strposet.__all__ if name not in read] == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports, by relative import."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            modules.update([node.module] if node.module
+                           else [alias.name for alias in node.names])
+    return modules
+
+
+def test_package_imports_scan():
+    source = ("from __future__ import annotations\n"
+              "import json\n"
+              "from .core import bits_of\n"
+              "from . import models\n"
+              "def f():\n"
+              "    from .structure import str_leq\n")
+    assert package_imports(source) == {"core", "models", "structure"}
+
+
+# Each module may import only the modules listed for it, and every module
+# is listed.  The battery is a property of the fragment, so reconstruction
+# does not read conditions.
+LAYERS = {
+    "core": set(),
+    "structure": {"core"},
+    "conditions": {"core"},
+    "models": {"core"},
+    "reconstruction": {"core", "structure"},
+    "cli": {"core", "structure", "conditions", "models", "reconstruction"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in PACKAGE.glob("*.py")
+    if not path.stem.startswith("__")))
+def test_module_graph(module):
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert package_imports(source) - LAYERS[module] == set()
