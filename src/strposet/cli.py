@@ -242,8 +242,8 @@ def cmd_roundtrip(args) -> int:
         return EXIT_VIOLATION
     result = round_trip(fragment, args.seed, psi_only=not args.with_rays,
                         k_cap=args.k_cap, corrupt=args.corrupt)
-    _emit_json({**result.to_json(), "battery": {
-        "passed": battery.passed, "reasons": battery.reasons}}, args.output)
+    _emit_json({**result.to_json(), "battery": battery.to_json()},
+               args.output)
     return EXIT_OK if result.recovered else EXIT_VIOLATION
 
 

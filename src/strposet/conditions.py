@@ -128,16 +128,11 @@ def find_j3_witness(fragment: PosetFragment, m: int, f_mask: int = 0,
 
     Returned as an h1 mask; None when no K within the size cap exists.
     Candidates outside the strict lower set of m can never help, so the
-    search runs inside down(m) \\ F; shrinking K only grows its common upper
-    set, so if even the full pool has extra common points no K works.
+    search runs inside down(m) \\ F.
     """
     if not 0 <= m < fragment.n2:
         raise ValueError(f"h2 index {m} out of range")
     pool = fragment.down[m] & ~f_mask
-    if pool.bit_count() < 2:
-        return None
-    if fragment.common_h2_above(pool) != 1 << m:
-        return None
     return next(fragment.unique_point_sets(m, pool, size_cap), None)
 
 

@@ -171,9 +171,13 @@ class PosetFragment:
         Yields by size, then lexicographically in S: the order
         ``itertools.combinations`` gives over the ascending pool.  Each
         prefix of S carries its running common upper set, so a candidate
-        costs one intersection.
+        costs one intersection.  Shrinking K only grows its common upper
+        set, so when base + pool has a common point other than m no K
+        exists and nothing is tried.
         """
         target = 1 << m
+        if self.common_h2_above(base | pool) & ~target:
+            return
         idxs = list(bits_of(pool & ~base))
         ups = [self.up[i] for i in idxs]
         n = len(idxs)

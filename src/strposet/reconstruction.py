@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
+from typing import Optional
 
 from .core import IsoMap, PosetFragment, bits_of, mask_image, relabel
 from .structure import (StrNode, node_from_tuple, ray_node, str_leq,
@@ -26,8 +27,9 @@ MAX_DOMAIN_NODES = 1_000_000    # induce_str_iso refuses larger domains
 class ReconstructionTrace:
     """What each map entry rests on.  ``evidence`` holds (node, image)
     StrNode pairs, each looked-up node once, and a ``rho1_table`` entry keeps
-    its ``evidence`` as positions into that list; ``to_json`` spells them
-    out, so runs that never emit the trace never format it."""
+    its ``evidence`` as positions into that list.  ``to_json`` prints both
+    as stored: the pairs once, as ``[node, image]`` like a map file's, and
+    each curve's positions."""
 
     rho2_table: dict = field(default_factory=dict)
     rho1_table: dict = field(default_factory=dict)
@@ -35,22 +37,11 @@ class ReconstructionTrace:
     evidence: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        spelled: dict = {}      # a node recurring in evidence shares one dict
-
-        def spell(node: StrNode) -> dict:
-            out = spelled.get(node)
-            if out is None:
-                out = spelled[node] = node.to_json()
-            return out
-
-        evidence = self.evidence
-        return {"version": 1,
+        return {"version": 2,
                 "rho2": {str(k): v for k, v in self.rho2_table.items()},
-                "rho1": {str(k): {**v, "evidence": [
-                    {"node": spell(node), "image": spell(img)}
-                    for node, img in map(evidence.__getitem__,
-                                         v["evidence"])]}
-                    for k, v in self.rho1_table.items()},
+                "rho1": {str(k): v for k, v in self.rho1_table.items()},
+                "evidence": [[node.to_json(), img.to_json()]
+                             for node, img in self.evidence],
                 "conflicts": list(self.conflicts)}
 
 
@@ -503,12 +494,17 @@ def verify_factorization(phi: StrIso, rho: IsoMap) -> FactorizationReport:
 
 @dataclass(slots=True)
 class RoundTripResult:
+    """``error`` is the ``ReconstructionError`` message when reconstruction
+    raised, which it may do before recording any conflict."""
+
     recovered: bool
     conflicts: list
     probes: int
+    error: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {"version": 1, "recovered": self.recovered,
+        error = {} if self.error is None else {"error": self.error}
+        return {"version": 1, "recovered": self.recovered, **error,
                 "conflicts": list(self.conflicts), "probes": self.probes}
 
 
@@ -534,7 +530,8 @@ def round_trip(fragment: PosetFragment, seed: int, psi_only: bool = True,
         rho_hat, trace = build_rho(phi, size_cap=k_cap,
                                    prefer_rays=not psi_only)
     except ReconstructionError as exc:
-        return RoundTripResult(False, list(exc.trace.conflicts), phi.probes)
+        return RoundTripResult(False, list(exc.trace.conflicts), phi.probes,
+                               str(exc))
     report = verify_factorization(phi, rho_hat)
     exact = (rho_hat.h1_map == rho_star.h1_map
              and rho_hat.h2_map == rho_star.h2_map)

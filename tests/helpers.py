@@ -816,6 +816,26 @@ def extend_psi_to_phi(psi: StrIso, size_cap: int = 3) -> StrIso:
     return StrIso(fx, fy, table)
 
 
+def trace_v1(trace: dict) -> dict:
+    """A printed ``ReconstructionTrace`` in its version-1 layout: no
+    top-level evidence list, and each curve's positions spelled out as
+    ``{"node": ..., "image": ...}`` objects in place."""
+    pairs = trace["evidence"]
+    return {"version": 1, "rho2": trace["rho2"],
+            "rho1": {x: {**entry, "evidence": [
+                {"node": pairs[i][0], "image": pairs[i][1]}
+                for i in entry["evidence"]]}
+                for x, entry in trace["rho1"].items()},
+            "conflicts": trace["conflicts"]}
+
+
+def spell_trace(report: dict) -> dict:
+    """A parsed ``reconstruct`` report with its trace in version-1 layout,
+    so that its ``json_text`` is the bytes the verb printed before the
+    trace listed each pair once."""
+    return {**report, "trace": trace_v1(report["trace"])}
+
+
 def census_fragments(max_n1: int, max_n2: int) -> list[PosetFragment]:
     """One fragment per class, up to relabeling within each tier, of the
     fragments with 1..max_n1 curves and 1..max_n2 points in which every

@@ -7,11 +7,16 @@ import pytest
 from strposet import (DomainSpec, GeneratorParams, IsoMap, PosetFragment,
                       StrIso, affine_plane_fragment, corrupt_str_iso,
                       cusp_fragment, dumps_fragment, finite_node,
-                      induce_str_iso, load_fragment, random_fragment, relabel,
-                      save_fragment)
+                      induce_str_iso, json_text, load_fragment,
+                      random_fragment, relabel, save_fragment,
+                      witness_battery)
 from strposet.cli import main
 
-from helpers import restrict_support
+from helpers import restrict_support, spell_trace
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +257,17 @@ def test_mu(capsys, files):
     assert code == 3 and "nope" in err
 
 
+def test_mu_without_any_k_tries_no_candidate(capsys, files):
+    # every curve lies below both points, so no K has m0 as its only common
+    # point; the search stops at once instead of trying ~5.5e10 subsets
+    twin = str(files["dir"] / "twin_points.json")
+    save_fragment(PosetFragment(40, 2, [(i, j) for i in range(40)
+                                        for j in range(2)]), twin)
+    code, data = run_json(capsys, "mu", twin, "--x", "x0", "--m", "m0",
+                          "--amax", "16")
+    assert code == 0 and data["mu"] == "infinity"
+
+
 def test_str_leq(capsys, files):
     code, data = run_json(capsys, "str-leq", files["f0"],
                           "--lhs", "a|d,e", "--rhs", "a,b|d,e")
@@ -302,12 +318,14 @@ def test_reconstruct_honest_map(capsys, files):
     assert data["trace"]["conflicts"] == []
 
 
+# The report bytes before the trace listed each pair once (trace version 1):
+# checked on the report with its trace spelled out per curve again.
 def test_reconstruct_output_bytes_frozen(capsys, files):
     # the whole report, trace evidence included, byte for byte
     code, out, err = run(capsys, "reconstruct", files["p3"], files["p3y"],
                          "--map", files["map"])
     assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    assert digest(json_text(spell_trace(json.loads(out)))) == (
         "cca7ed8dc41f9405973ce175761c55880df9df1ebb4690e908d439c7047674d1")
 
 
@@ -322,7 +340,39 @@ def test_reconstruct_conflict_and_ray_bytes_frozen(capsys, files, map_file,
     code, out, err = run(capsys, "reconstruct", files["p3"], files["p3y"],
                          "--map", files[map_file])
     assert code == rc and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    assert digest(json_text(spell_trace(json.loads(out)))) == sha256
+
+
+@pytest.mark.parametrize("map_file,rc,sha256", [
+    ("map", 0,
+     "cb2cc5121837f2e49ba04894394a90fd1619e88472f2499bd33c27396379609b"),
+    ("map_bad", 1,
+     "3b1f81d903494a47b77c57e7f55cdecc939ac5dc053c59a38bc7e4fb058e00a0"),
+    ("map_rays", 0,
+     "6093f6c2fdbe8cc2ac7f581bc0faf60432b68b6c6733095d7097daf60cf8b906"),
+])
+def test_reconstruct_report_bytes_frozen(capsys, files, map_file, rc,
+                                         sha256):
+    # the report as printed, its trace at version 2
+    code, out, err = run(capsys, "reconstruct", files["p3"], files["p3y"],
+                         "--map", files[map_file])
+    assert code == rc and err == ""
+    assert digest(out) == sha256
+
+
+@pytest.mark.parametrize("map_file", ["map", "map_bad", "map_rays"])
+def test_reconstruct_trace_lists_each_pair_once(capsys, files, map_file):
+    code, data = run_json(capsys, "reconstruct", files["p3"], files["p3y"],
+                          "--map", files[map_file])
+    trace = data["trace"]
+    assert trace["version"] == 2
+    pairs = [json.dumps(pair) for pair in trace["evidence"]]
+    assert pairs and len(set(pairs)) == len(pairs)
+    cited = [i for entry in trace["rho1"].values()
+             for i in entry["evidence"]]
+    assert all(type(i) is int and 0 <= i < len(pairs) for i in cited)
+    if code == 0:
+        assert set(cited) == set(range(len(pairs)))
 
 
 def test_reconstruct_size_cap_beyond_the_map_changes_nothing(capsys, files):
@@ -438,11 +488,26 @@ def test_roundtrip_weak_battery_still_ambiguous(capsys, files):
 def test_roundtrip_run_reports_the_battery_last(capsys, files):
     code, data = run_json(capsys, "roundtrip", files["f3"],
                           "--allow-weak-battery")
-    assert list(data) == ["version", "recovered", "conflicts", "probes",
-                          "battery"]
-    assert set(data["battery"]) == {"passed", "reasons"}
+    assert list(data) == ["version", "recovered", "error", "conflicts",
+                          "probes", "battery"]
+    # the same shape as a refusal's: the whole BatteryReport
+    assert list(data["battery"]) == ["version", "passed", "params", "reasons",
+                                     "j3_failures"]
+    assert data["battery"] == witness_battery(
+        load_fragment(files["f3"])).to_json()
     assert data["battery"]["passed"] is False
-    assert data["battery"]["reasons"]
+    assert data["battery"]["reasons"] and data["battery"]["j3_failures"]
+
+
+def test_roundtrip_keeps_the_reason_it_stopped(capsys, files):
+    # two disjoint curves: no K-set exists, so no conflict is ever recorded
+    disjoint = str(files["dir"] / "disjoint.json")
+    save_fragment(PosetFragment(2, 2, [(0, 0), (1, 1)]), disjoint)
+    code, data = run_json(capsys, "roundtrip", disjoint,
+                          "--allow-weak-battery")
+    assert code == 1 and data["recovered"] is False
+    assert data["conflicts"] == []
+    assert data["error"].startswith("no K-sets for curve x0 ")
 
 
 def test_roundtrip_weak_battery_can_recover(capsys, files):
@@ -463,6 +528,9 @@ def test_roundtrip_planted(capsys, files):
     assert data["battery"]["passed"] is True and data["probes"] > 0
 
 
+# The bytes before a run carried the whole battery and its error: a run's
+# report is checked without "error" and with the battery cut to "passed"
+# and "reasons"; a refusal's report is unchanged.
 @pytest.mark.parametrize("fixture,flags,rc,sha256", [
     ("p3", ["--seed", "3"], 0,
      "6dd25ca389c529671d246314b8764cf57706ad6febeb86a1ba3f1272e3ba95d7"),
@@ -475,7 +543,25 @@ def test_roundtrip_output_bytes_frozen(capsys, files, fixture, flags, rc,
                                        sha256):
     code, out, err = run(capsys, "roundtrip", files[fixture], *flags)
     assert code == rc and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    data = json.loads(out)
+    if not data.get("refused"):
+        data.pop("error", None)
+        data["battery"] = {key: data["battery"][key]
+                           for key in ("passed", "reasons")}
+    assert digest(json_text(data)) == sha256
+
+
+@pytest.mark.parametrize("flags,rc,sha256", [
+    (["--seed", "3"], 0,
+     "96449f398e2f5bd37ef726fa1cdd2a3b745fba5cdeda4f7cf70387688869bbc9"),
+    (["--corrupt"], 1,
+     "c70ff4df31c4057d5e6bd5bcfa59d3ab181ae0dd505eac024ec0cfee75ec1f76"),
+])
+def test_roundtrip_run_bytes_frozen(capsys, files, flags, rc, sha256):
+    # a run as printed: the error when one stopped it, the whole battery
+    code, out, err = run(capsys, "roundtrip", files["p3"], *flags)
+    assert code == rc and err == ""
+    assert digest(out) == sha256
 
 
 def test_roundtrip_runs_the_battery_once(capsys, files, monkeypatch):

@@ -1,8 +1,10 @@
 """Every import in `src/strposet` is used, every exported name is run by
-the library or the benchmark, and the modules import each other only down
-the layers: stdlib `ast` scans."""
+the library or the benchmark, the modules import each other only down the
+layers, and every name the benchmark tracer patches exists: stdlib `ast`
+scans."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -128,3 +130,32 @@ LAYERS = {
 def test_module_graph(module):
     source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     assert package_imports(source) - LAYERS[module] == set()
+
+
+def traced_names() -> list[tuple[str, str]]:
+    """The (module, attribute or Class.method) pairs that ``TRACED`` and
+    ``LEAVES`` in ``bench/tracer.py`` name, read without importing it."""
+    tree = ast.parse((BENCH / "tracer.py").read_text(encoding="utf-8"))
+    entries = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in ("TRACED",
+                                                              "LEAVES"):
+                entries[target.id] = ast.literal_eval(node.value)
+    assert set(entries) == {"TRACED", "LEAVES"}
+    return [(module, attr) for module, attr, _ in
+            entries["TRACED"] + entries["LEAVES"]]
+
+
+@pytest.mark.parametrize("module,attr", traced_names(),
+                         ids=lambda value: value)
+def test_every_traced_name_resolves(module, attr):
+    """The benchmark tracer patches these by name; a rename would crash its
+    ``--trace`` runs."""
+    owner = importlib.import_module(f"strposet.{module}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        assert meth in vars(getattr(owner, cls_name))
+    else:
+        assert callable(getattr(owner, attr))

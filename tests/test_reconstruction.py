@@ -19,8 +19,8 @@ from conftest import fragments
 from helpers import (brute_k_sets, census_fragments, enumerate_domain,
                      extend_psi_to_phi, induce_str_iso_by_domain, k_sets,
                      restrict_support, rho1_from_psi_by_curve,
-                     rho2_from_phi_by_node, unmap, validate_all_pairs,
-                     verify_factorization_by_node)
+                     rho2_from_phi_by_node, trace_v1, unmap,
+                     validate_all_pairs, verify_factorization_by_node)
 
 
 def identity_iso(frag):
@@ -456,15 +456,17 @@ def test_verify_factorization_catches_damage(f0):
 
 def route_outcome(route, psi, *args):
     """Everything a reconstruction route shows: the map and trace bytes, or
-    the error and the trace it carries, plus the probes spent either way."""
+    the error and the trace it carries, plus the probes spent either way.
+    The trace is compared spelled out, since the node-by-node route lists a
+    K-set once per curve where the fast route lists it once."""
     try:
         rho, trace = route(psi, *args)
     except ReconstructionError as exc:
-        return ("error", str(exc), json_text(exc.trace.to_json()),
+        return ("error", str(exc), json_text(trace_v1(exc.trace.to_json())),
                 psi.probes)
     if isinstance(rho, IsoMap):
         rho = rho.to_json()
-    return rho, json_text(trace.to_json()), psi.probes
+    return rho, json_text(trace_v1(trace.to_json())), psi.probes
 
 
 def assert_routes_agree(rho, spec, damage="honest", seed=0):
@@ -544,9 +546,10 @@ def test_census_never_returns_a_wrong_map(monkeypatch):
     """Every class up to 5 curves and 3 points, k_cap 2 and 3, psi-only and
     with rays, seeds 0-2: build_rho either raises or returns the hidden
     map, and its fast stages agree with the node-by-node ones on the map,
-    the trace bytes and the probes."""
+    the trace bytes and the probes.  Every round trip recovers or says
+    why not: with conflicts, or with the error that stopped it."""
     assert len(CENSUS) == 189
-    built = 0
+    built = stopped = 0
     for frag in CENSUS:
         for seed in (0, 1, 2):
             rho = relabel(frag, seed)[1]
@@ -567,7 +570,14 @@ def test_census_never_returns_a_wrong_map(monkeypatch):
                     if fast[0] != "error":
                         assert fast[0] == rho.to_json(), (frag.up, seed)
                         built += 1
+                    result = round_trip(frag, seed, psi_only=not rays,
+                                        k_cap=k_cap)
+                    assert (result.recovered or result.conflicts
+                            or result.error), (frag.up, seed, k_cap, rays)
+                    assert (result.error is None) == result.recovered
+                    stopped += not (result.recovered or result.conflicts)
     assert built > 0
+    assert stopped > 0      # some stop before recording any conflict
 
 
 # -- psi to phi ---------------------------------------------------------------
@@ -597,6 +607,7 @@ def test_round_trip_recovers_planted(planted3):
         assert witness_battery(planted3).passed
         assert result.conflicts == []
         assert result.probes > 0
+        assert result.error is None and "error" not in result.to_json()
 
 
 def test_round_trip_with_rays(f0):
@@ -617,4 +628,6 @@ def test_round_trip_corrupt(planted3):
 
 def test_round_trip_json_shape(f3):
     out = round_trip(f3, seed=0).to_json()
-    assert set(out) == {"version", "recovered", "conflicts", "probes"}
+    assert list(out) == ["version", "recovered", "error", "conflicts",
+                         "probes"]
+    assert out["error"] == "conflicting evidence; see trace"
