@@ -84,7 +84,10 @@ def find_p5_witness(fragment: PosetFragment, s_mask: int, t_mask: int
 
 def survey_p5(fragment: PosetFragment, smax: int = 1, tmax: int = 1
               ) -> ConditionReport:
-    """Witness search over all instances with |S| <= smax, |T| <= tmax."""
+    """Witness search over all instances with |S| <= smax, |T| <= tmax;
+    ValueError on a window below 1, which holds no instance."""
+    if smax < 1 or tmax < 1:
+        raise ValueError(f"P5 window smax={smax}, tmax={tmax} holds nothing")
     failures = []
     checked = 0
     h1_range = range(fragment.n1)
@@ -137,7 +140,10 @@ def find_j3_witness(fragment: PosetFragment, m: int, f_mask: int = 0,
 
 
 def survey_j3(fragment: PosetFragment, size_cap: int = 4) -> ConditionReport:
-    """find_j3_witness per point with F empty."""
+    """find_j3_witness per point with F empty; ValueError when size_cap is
+    below 2, since a K has at least two curves."""
+    if size_cap < 2:
+        raise ValueError(f"J3 size cap {size_cap} holds no K of 2+ curves")
     failures = []
     for m in range(fragment.n2):
         if find_j3_witness(fragment, m, 0, size_cap) is None:
@@ -157,7 +163,7 @@ def check_j4(fragment: PosetFragment, tmax: int = 2) -> ConditionReport:
     return ConditionReport("J4", not failures, {"tmax": tmax}, failures)
 
 
-# -- the battery gating reconstruction round trips --------------------------
+# -- the witness battery: a report of window proxies -------------------------
 
 _FMAX = 2       # the largest curve set F the battery's J3 clause must survive
 
@@ -193,14 +199,13 @@ def _cover_upto(edges: list[int], budget: int) -> Optional[list[int]]:
 
 def witness_battery(fragment: PosetFragment, k: int = 2,
                     j4_tmax: int = 2) -> BatteryReport:
-    """Sufficient conditions for the reconstruction round trip to determine
-    every curve.
+    """A report of finite-window proxies for the paper's J2, J3 and J4;
+    it neither gates nor decides reconstruction, and ignores k_cap.
 
     The J3 clause demands, for every point m and every F of at most
     ``_FMAX`` curves, a PAIR disjoint from F whose only common point is m.  A
     killing F is exactly a vertex cover of the pair graph at m, so the check
-    is a bounded cover search.  Pair witnesses (rather than larger K) are
-    what the K-set disambiguation argument consumes.
+    is a bounded cover search.
     """
     j2 = check_j2(fragment, k)
     j4 = check_j4(fragment, j4_tmax)

@@ -6,7 +6,8 @@ the point map), ray nodes map to ray nodes (giving the curve map directly),
 and without rays each curve is pinned down by intersecting the first
 ordinates of the images of its K-sets, the nodes (K, {b}) with x in K and
 mub(K) = {b}.  Every derived entry cites the nodes that forced it, and
-inconsistencies are collected as conflicts instead of producing a wrong map.
+each stage records every inconsistency or gap as a trace conflict instead
+of stopping or producing a wrong map; only ``build_rho`` raises.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Optional
 
 from .core import IsoMap, PosetFragment, bits_of, mask_image, relabel
 from .structure import (StrNode, node_from_tuple, ray_node, str_leq,
@@ -46,8 +46,8 @@ class ReconstructionTrace:
 
 
 class ReconstructionError(Exception):
-    """Raised when the pipeline cannot produce a single consistent map; the
-    trace explains why."""
+    """Raised by ``build_rho`` when the pipeline cannot produce a single
+    consistent map; the trace's conflicts say why."""
 
     def __init__(self, message: str, trace: ReconstructionTrace):
         super().__init__(message)
@@ -266,11 +266,12 @@ def rho2_from_phi(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
     """Point map from where singleton-fiber nodes land.
 
     Every domain node over {m} must map into one singleton fiber {n};
-    disagreements and non-singleton images become conflicts.  One pass over
-    the table groups the (node, image) pairs by fiber, and each fiber adds
-    its size to the probes.  An image over one point of fragment_y is a
-    member iff its curves meet those below the point; any other image takes
-    ``str_member``, which raises ValueError on masks outside fragment_y.
+    disagreements, non-singleton images and empty fibers become conflicts.
+    One pass over the table groups the (node, image) pairs by fiber, and
+    each fiber adds its size to the probes.  An image over one point of
+    fragment_y is a member iff its curves meet those below the point; any
+    other image takes ``str_member``, which raises ValueError on masks
+    outside fragment_y.
     """
     trace = ReconstructionTrace()
     fx, fy = phi.fragment_x, phi.fragment_y
@@ -284,8 +285,9 @@ def rho2_from_phi(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
     for m in range(fx.n2):
         pairs = groups[m]
         if not pairs:
-            raise ReconstructionError(
-                f"no domain node in the fiber over {fx.h2_labels[m]}", trace)
+            trace.conflicts.append({"kind": "empty-fiber",
+                                    "m": fx.h2_labels[m]})
+            continue
         phi.probes += len(pairs)
         target = None
         witness = None
@@ -339,7 +341,8 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3
     true image, so a singleton answer is correct whenever psi really is
     induced by a relabeling; a larger intersection is recorded as an
     ambiguity, never guessed at.  Only K-sets psi actually tabulates count
-    as evidence; a map file over a truncated domain fails here.
+    as evidence; a curve that none holds is a ``no-k-set`` conflict, as on
+    a map file over a truncated domain.
     """
     trace = ReconstructionTrace()
     fx, fy = psi.fragment_x, psi.fragment_y
@@ -368,9 +371,8 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3
     rho1: dict[int, int] = {}
     for x, positions in enumerate(held):
         if not positions:
-            raise ReconstructionError(
-                f"no K-sets for curve {fx.h1_labels[x]} within the size cap "
-                f"and the map domain", trace)
+            trace.conflicts.append({"kind": "no-k-set", "x": fx.h1_labels[x]})
+            continue
         psi.probes += len(positions)
         inter = fy.all_h1_mask
         for i in positions:
@@ -394,15 +396,16 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3
 
 
 def rho1_from_rays(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
-    """Curve map read directly off ray images."""
+    """Curve map read directly off ray images; a missing ray is a conflict."""
     trace = ReconstructionTrace()
     fx = phi.fragment_x
     rho1: dict[int, int] = {}
     for x in range(fx.n1):
         ray = ray_node(fx, x)
         if ray not in phi.table:
-            raise ReconstructionError(
-                f"ray node for {fx.h1_labels[x]} not in the domain", trace)
+            trace.conflicts.append({"kind": "ray-not-in-domain",
+                                    "x": fx.h1_labels[x]})
+            continue
         img = phi.map(ray)
         if not img.is_ray:
             trace.conflicts.append(
@@ -420,33 +423,25 @@ def build_rho(phi: StrIso, size_cap: int = 3, prefer_rays: bool = True
               ) -> tuple[IsoMap, ReconstructionTrace]:
     """Assemble the fragment isomorphism, or raise with the full trace.
 
-    Failure never yields a partial or guessed map: conflicts (fiber splits,
-    ambiguous curves, incidence violations) surface in the trace of the
-    raised error.  When the curve map itself raises, its trace is merged
-    into the point map's before the error is raised again.
+    The only raise of the pipeline: failure never yields a partial or
+    guessed map, and the conflicts of both stages, or an incidence
+    violation of the assembled map, surface in the merged trace.
     """
     rho2, trace = rho2_from_phi(phi)
     fx = phi.fragment_x
     rays = prefer_rays and ({ray for _, _, ray in phi.table} - {None}
                             == set(range(fx.n1)))
-    failure = None
-    try:
-        rho1, t1 = (rho1_from_rays(phi) if rays
-                    else rho1_from_psi(phi, size_cap))
-    except ReconstructionError as exc:
-        failure, t1 = exc, exc.trace
-    trace.rho1_table.update(t1.rho1_table)
+    rho1, t1 = (rho1_from_rays(phi) if rays
+                else rho1_from_psi(phi, size_cap))
+    trace.rho1_table, trace.evidence = t1.rho1_table, t1.evidence
     trace.conflicts.extend(t1.conflicts)
-    trace.evidence = t1.evidence
-    if failure is not None:
-        raise ReconstructionError(str(failure), trace) from failure
     if trace.conflicts:
         raise ReconstructionError("conflicting evidence; see trace", trace)
     try:
         iso = IsoMap(phi.fragment_x, phi.fragment_y,
                      tuple(rho1[i] for i in range(fx.n1)),
                      tuple(rho2[j] for j in range(fx.n2)))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         trace.conflicts.append({"kind": "incidence-violation",
                                 "detail": str(exc)})
         raise ReconstructionError(str(exc), trace) from exc
@@ -494,17 +489,14 @@ def verify_factorization(phi: StrIso, rho: IsoMap) -> FactorizationReport:
 
 @dataclass(slots=True)
 class RoundTripResult:
-    """``error`` is the ``ReconstructionError`` message when reconstruction
-    raised, which it may do before recording any conflict."""
+    """A run that does not recover lists at least one conflict."""
 
     recovered: bool
     conflicts: list
     probes: int
-    error: Optional[str] = None
 
     def to_json(self) -> dict:
-        error = {} if self.error is None else {"error": self.error}
-        return {"version": 1, "recovered": self.recovered, **error,
+        return {"version": 1, "recovered": self.recovered,
                 "conflicts": list(self.conflicts), "probes": self.probes}
 
 
@@ -514,8 +506,10 @@ def round_trip(fragment: PosetFragment, seed: int, psi_only: bool = True,
 
     ``recovered`` demands the exact hidden map back plus a clean
     factorization check; with ``corrupt`` the induced map is damaged first
-    to exercise the conflict paths.  A k_cap that can never recover raises
-    ValueError.
+    to exercise the conflict paths.  The run is its own recoverability
+    test, and one that does not recover lists a conflict; a damaged map
+    that another relabeling induces gives ``not-the-hidden-map``.  A k_cap
+    that can never recover raises ValueError.
     """
     if k_cap < (2 if psi_only else 1):
         raise ValueError(f"k_cap {k_cap} can never recover: " + (
@@ -527,13 +521,12 @@ def round_trip(fragment: PosetFragment, seed: int, psi_only: bool = True,
     if corrupt:
         phi = corrupt_str_iso(phi, seed)
     try:
-        rho_hat, trace = build_rho(phi, size_cap=k_cap,
-                                   prefer_rays=not psi_only)
+        rho_hat, _ = build_rho(phi, size_cap=k_cap, prefer_rays=not psi_only)
     except ReconstructionError as exc:
-        return RoundTripResult(False, list(exc.trace.conflicts), phi.probes,
-                               str(exc))
-    report = verify_factorization(phi, rho_hat)
-    exact = (rho_hat.h1_map == rho_star.h1_map
-             and rho_hat.h2_map == rho_star.h2_map)
-    conflicts = list(trace.conflicts) + list(report.violations)
-    return RoundTripResult(exact and report.clean, conflicts, phi.probes)
+        return RoundTripResult(False, list(exc.trace.conflicts), phi.probes)
+    conflicts = verify_factorization(phi, rho_hat).violations
+    if not conflicts and rho_hat != rho_star:
+        # the damage made phi the induced map of another relabeling
+        conflicts.append({"kind": "not-the-hidden-map",
+                          "rho": rho_hat.to_json()})
+    return RoundTripResult(not conflicts, conflicts, phi.probes)

@@ -417,6 +417,20 @@ def brute_k_sets(fragment: PosetFragment, x: int, cap: int):
     return out
 
 
+def separated(fragment: PosetFragment, k_cap: int) -> bool:
+    """K-set separation: for every curve x, the literal K-sets of at most
+    k_cap curves that hold x exist and their first ordinates intersect in
+    {x} alone.  A psi-only round trip recovers exactly then."""
+    for x in range(fragment.n1):
+        nodes = brute_k_sets(fragment, x, k_cap)
+        inter = fragment.all_h1_mask
+        for node in nodes:
+            inter &= node.a_mask
+        if not nodes or inter != 1 << x:
+            return False
+    return True
+
+
 # -- oracles and paper constructions that no verb runs ----------------------
 
 
@@ -680,9 +694,9 @@ def rho2_from_phi_by_node(phi: StrIso
     """Point map from where singleton-fiber nodes land.
 
     Every domain node over {m} must map into one singleton fiber {n};
-    disagreements and non-singleton images become conflicts.  Nodes are
-    grouped by fiber from the domain list, then each is mapped (one probe)
-    as its fiber is read.
+    disagreements, non-singleton images and empty fibers become conflicts.
+    Nodes are grouped by fiber from the domain list, then each is mapped
+    (one probe) as its fiber is read.
     """
     trace = ReconstructionTrace()
     fx, fy = phi.fragment_x, phi.fragment_y
@@ -695,8 +709,9 @@ def rho2_from_phi_by_node(phi: StrIso
     rho2: dict[int, int] = {}
     for m in range(fx.n2):
         if not groups[m]:
-            raise ReconstructionError(
-                f"no domain node in the fiber over {fx.h2_labels[m]}", trace)
+            trace.conflicts.append({"kind": "empty-fiber",
+                                    "m": fx.h2_labels[m]})
+            continue
         target = None
         witness = None
         for node in groups[m]:
@@ -746,8 +761,8 @@ def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3
     per curve.  The image intersection always contains the true image, so a singleton
     answer is correct whenever psi really is induced by a relabeling; a
     larger intersection is recorded as an ambiguity, never guessed at.
-    Only K-sets psi actually tabulates count as evidence; a map file over a
-    truncated domain fails here instead of deep in the lookup.
+    Only K-sets psi actually tabulates count as evidence; a curve that none
+    holds, as on a map file over a truncated domain, is a conflict.
     """
     trace = ReconstructionTrace()
     fx, fy = psi.fragment_x, psi.fragment_y
@@ -755,9 +770,8 @@ def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3
     for x in range(fx.n1):
         nodes = [n for n in k_sets(fx, x, size_cap) if n in psi.table]
         if not nodes:
-            raise ReconstructionError(
-                f"no K-sets for curve {fx.h1_labels[x]} within the size cap "
-                f"and the map domain", trace)
+            trace.conflicts.append({"kind": "no-k-set", "x": fx.h1_labels[x]})
+            continue
         evidence = []
         inter = fy.all_h1_mask
         for node in nodes:

@@ -8,7 +8,7 @@ from strposet import (DomainSpec, GeneratorParams, IsoMap, PosetFragment,
                       StrIso, affine_plane_fragment, corrupt_str_iso,
                       cusp_fragment, dumps_fragment, finite_node,
                       induce_str_iso, json_text, load_fragment,
-                      random_fragment, relabel, save_fragment,
+                      random_fragment, relabel, round_trip, save_fragment,
                       witness_battery)
 from strposet.cli import main
 
@@ -28,9 +28,12 @@ def files(tmp_path_factory):
                             ["a", "b", "c"], ["d", "e"]),
         "f3": cusp_fragment(),
         "ag21": affine_plane_fragment(2, 1),
+        "ag22": affine_plane_fragment(2, 2),
         "ag32": affine_plane_fragment(3, 2),
         "p3": random_fragment(GeneratorParams(
             n1=12, n2=3, planted_pairs_per_point=3, seed=1)),
+        # gen --model random --n1 12 --n2 3 --seed 0
+        "r12": random_fragment(GeneratorParams(n1=12, n2=3, seed=0)),
     }
     paths = {}
     for name, frag in frags.items():
@@ -180,6 +183,18 @@ def test_check_threshold_sensitivity(capsys, files):
     assert code == 0 and data["ok"] is True
 
 
+@pytest.mark.parametrize("flags,cause", [
+    (["--smax", "0"], "P5 window smax=0, tmax=1 holds nothing"),
+    (["--tmax", "0"], "P5 window smax=1, tmax=0 holds nothing"),
+    (["--j3-cap", "1"], "J3 size cap 1 holds no K of 2+ curves"),
+])
+def test_check_refuses_windows_that_hold_nothing(capsys, files, flags,
+                                                 cause):
+    code, out, err = run(capsys, "check", files["f3"], *flags)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and cause in err
+
+
 def test_check_bad_inputs(capsys, files):
     code, _, err = run(capsys, "check", "/no/such/file.json")
     assert code == 3 and "no such file" in err
@@ -236,6 +251,17 @@ def test_fiber_dot(capsys, files):
     code, plain, _ = run(capsys, "fiber", files["f3"], "--b", "m", "--dot",
                          "--no-via")
     assert "label=\"{" not in plain and "n1 -> n5;" in plain
+
+
+def test_fiber_default_amax_names_itself(capsys, files):
+    # no --amax given: the default, the support's 273 curves, is over the cap
+    code, out, err = run(capsys, "fiber", files["ag32"], "--b", "pt00")
+    assert (code, out) == (3, "")
+    assert err == ("error: --amax defaults to the support's size, 273, over "
+                   "the cap of 16; give --amax\n")
+    code, out, err = run(capsys, "fiber", files["ag32"], "--b", "pt00",
+                         "--amax", "17")
+    assert (code, out) == (3, "") and "amax must be in 1..16" in err
 
 
 def test_fiber_rejects_bad_labels(capsys, files):
@@ -453,7 +479,9 @@ def test_reconstruct_reports_truncated_map_domain(capsys, files):
     code, data = run_json(capsys, "reconstruct", files["p3"], files["p3y"],
                           "--map", capped)
     assert code == 1 and data["recovered"] is False
-    assert "map domain" in data["error"]
+    assert data["error"] == "conflicting evidence; see trace"
+    assert {"kind": "no-k-set", "x": "x2"} in data["conflicts"]
+    assert data["conflicts"] == data["trace"]["conflicts"]
 
 
 def test_reconstruct_rejects_nonmember_images(capsys, files):
@@ -470,85 +498,99 @@ def test_reconstruct_rejects_nonmember_images(capsys, files):
 # -- roundtrip ------------------------------------------------------------------
 
 
-def test_roundtrip_refuses_weak_battery(capsys, files):
+def test_roundtrip_runs_where_the_battery_fails(capsys, files):
+    # f0 fails the witness battery; the run itself says why it cannot recover
+    assert not witness_battery(load_fragment(files["f0"])).passed
     code, data = run_json(capsys, "roundtrip", files["f0"])
-    assert code == 1
-    assert data["recovered"] is False and data["refused"] is True
-    assert data["probes"] == 0 and data["conflicts"] == []
-    assert data["battery"]["reasons"]
+    assert code == 1 and data["recovered"] is False
+    assert data["probes"] > 0
+    assert any(c["kind"] == "rho1-ambiguous" for c in data["conflicts"])
 
 
 def test_roundtrip_weak_battery_still_ambiguous(capsys, files):
-    code, data = run_json(capsys, "roundtrip", files["f3"],
-                          "--allow-weak-battery")
+    code, data = run_json(capsys, "roundtrip", files["f3"])
     assert code == 1 and data["recovered"] is False
     assert any(c["kind"] == "rho1-ambiguous" for c in data["conflicts"])
 
 
-def test_roundtrip_run_reports_the_battery_last(capsys, files):
-    code, data = run_json(capsys, "roundtrip", files["f3"],
-                          "--allow-weak-battery")
-    assert list(data) == ["version", "recovered", "error", "conflicts",
-                          "probes", "battery"]
-    # the same shape as a refusal's: the whole BatteryReport
-    assert list(data["battery"]) == ["version", "passed", "params", "reasons",
-                                     "j3_failures"]
-    assert data["battery"] == witness_battery(
-        load_fragment(files["f3"])).to_json()
-    assert data["battery"]["passed"] is False
-    assert data["battery"]["reasons"] and data["battery"]["j3_failures"]
+def test_roundtrip_prints_the_result_alone(capsys, files):
+    code, data = run_json(capsys, "roundtrip", files["f3"])
+    assert list(data) == ["version", "recovered", "conflicts", "probes"]
+    assert data == round_trip(load_fragment(files["f3"]), 0).to_json()
 
 
 def test_roundtrip_keeps_the_reason_it_stopped(capsys, files):
-    # two disjoint curves: no K-set exists, so no conflict is ever recorded
+    # two disjoint curves: no K-set exists, and each curve says so
     disjoint = str(files["dir"] / "disjoint.json")
     save_fragment(PosetFragment(2, 2, [(0, 0), (1, 1)]), disjoint)
-    code, data = run_json(capsys, "roundtrip", disjoint,
-                          "--allow-weak-battery")
+    code, data = run_json(capsys, "roundtrip", disjoint)
     assert code == 1 and data["recovered"] is False
-    assert data["conflicts"] == []
-    assert data["error"].startswith("no K-sets for curve x0 ")
+    assert data["conflicts"] == [{"kind": "no-k-set", "x": "x0"},
+                                 {"kind": "no-k-set", "x": "x1"}]
 
 
 def test_roundtrip_weak_battery_can_recover(capsys, files):
-    code, data = run_json(capsys, "roundtrip", files["ag21"],
-                          "--allow-weak-battery")
+    for name in ("ag21", "ag22"):
+        assert not witness_battery(load_fragment(files[name])).passed
+        for flags in ([], ["--with-rays"]):
+            code, data = run_json(capsys, "roundtrip", files[name], *flags)
+            assert code == 0 and data["recovered"] is True, (name, flags)
+
+
+def test_roundtrip_battery_passer_can_fail_at_k_cap_2(capsys, files):
+    # the battery ignores k_cap: the generic curve x11 lies below every
+    # point, so no K-set of two curves holds it
+    assert witness_battery(load_fragment(files["r12"])).passed
+    code, data = run_json(capsys, "roundtrip", files["r12"], "--k-cap", "2")
+    assert code == 1 and data["recovered"] is False
+    assert {"kind": "no-k-set", "x": "x11"} in data["conflicts"]
+    code, data = run_json(capsys, "roundtrip", files["r12"], "--k-cap", "3")
     assert code == 0 and data["recovered"] is True
 
 
 def test_roundtrip_rays_resolve_f0(capsys, files):
-    code, data = run_json(capsys, "roundtrip", files["f0"],
-                          "--allow-weak-battery", "--with-rays")
+    code, data = run_json(capsys, "roundtrip", files["f0"], "--with-rays")
     assert code == 0 and data["recovered"] is True
 
 
 def test_roundtrip_planted(capsys, files):
     code, data = run_json(capsys, "roundtrip", files["p3"], "--seed", "3")
-    assert code == 0 and data["recovered"] is True
-    assert data["battery"]["passed"] is True and data["probes"] > 0
+    assert code == 0 and data["recovered"] is True and data["probes"] > 0
 
 
-# The bytes before a run carried the whole battery and its error: a run's
-# report is checked without "error" and with the battery cut to "passed"
-# and "reasons"; a refusal's report is unchanged.
+def earlier_run(fixture: str, report: dict, cut: bool) -> dict:
+    """A roundtrip report as the verb printed it while it gated on the
+    witness battery: "error" after "recovered" on a failed run and the whole
+    battery last.  ``cut`` drops "error" and keeps the battery's "passed"
+    and "reasons"."""
+    battery = witness_battery(load_fragment(fixture)).to_json()
+    if cut:
+        return {**report, "battery": {key: battery[key]
+                                      for key in ("passed", "reasons")}}
+    error = ({} if report["recovered"]
+             else {"error": "conflicting evidence; see trace"})
+    return {"version": report["version"], "recovered": report["recovered"],
+            **error, "conflicts": report["conflicts"],
+            "probes": report["probes"], "battery": battery}
+
+
+# The bytes before the verb dropped the battery, checked through the cut
+# projection of ``earlier_run``.  The f0 row was a refusal then; it is the
+# run that --allow-weak-battery gave.
 @pytest.mark.parametrize("fixture,flags,rc,sha256", [
     ("p3", ["--seed", "3"], 0,
      "6dd25ca389c529671d246314b8764cf57706ad6febeb86a1ba3f1272e3ba95d7"),
     ("p3", ["--corrupt"], 1,
      "f5b1bcd2931fb4fc7eb1baabf120f41262084c31b053051e364e2a191818e38b"),
-    ("f0", [], 1,    # refused: the battery fails
-     "a0e68eee888a7046dcd7d7d93af0591a60eae75961db23addcda3fa9aa690a91"),
+    ("f0", [], 1,
+     "8a35f8a1e39b8fa3aad60aaad7ffc96273d575c3f45cde77cada405177a3648f"),
 ])
 def test_roundtrip_output_bytes_frozen(capsys, files, fixture, flags, rc,
                                        sha256):
     code, out, err = run(capsys, "roundtrip", files[fixture], *flags)
     assert code == rc and err == ""
-    data = json.loads(out)
-    if not data.get("refused"):
-        data.pop("error", None)
-        data["battery"] = {key: data["battery"][key]
-                           for key in ("passed", "reasons")}
-    assert digest(json_text(data)) == sha256
+    earlier = earlier_run(files[fixture], json.loads(out), cut=True)
+    assert digest(json_text(earlier)) == sha256
 
 
 @pytest.mark.parametrize("flags,rc,sha256", [
@@ -558,13 +600,30 @@ def test_roundtrip_output_bytes_frozen(capsys, files, fixture, flags, rc,
      "c70ff4df31c4057d5e6bd5bcfa59d3ab181ae0dd505eac024ec0cfee75ec1f76"),
 ])
 def test_roundtrip_run_bytes_frozen(capsys, files, flags, rc, sha256):
-    # a run as printed: the error when one stopped it, the whole battery
+    # a run as the verb printed it with the error and the whole battery
+    code, out, err = run(capsys, "roundtrip", files["p3"], *flags)
+    assert code == rc and err == ""
+    earlier = earlier_run(files["p3"], json.loads(out), cut=False)
+    assert digest(json_text(earlier)) == sha256
+
+
+@pytest.mark.parametrize("flags,rc,sha256", [
+    (["--seed", "3"], 0,
+     "3f3287cd3d8b8af17957a5fe945b2b502d9e5f6dd77398e5e5ec6094905693ab"),
+    (["--corrupt"], 1,
+     "a65b788ce8254b3419ba67665a212c4cd0ba071b475dfb43b73ed80ae047362c"),
+])
+def test_roundtrip_report_bytes_frozen(capsys, files, flags, rc, sha256):
+    # the report as printed: the round-trip result alone
     code, out, err = run(capsys, "roundtrip", files["p3"], *flags)
     assert code == rc and err == ""
     assert digest(out) == sha256
+    # the hidden no-op flag changes no byte
+    assert run(capsys, "roundtrip", files["p3"], *flags,
+               "--allow-weak-battery") == (code, out, err)
 
 
-def test_roundtrip_runs_the_battery_once(capsys, files, monkeypatch):
+def test_roundtrip_never_runs_the_battery(capsys, files, monkeypatch):
     import strposet.cli
     import strposet.conditions
     import strposet.reconstruction
@@ -578,8 +637,10 @@ def test_roundtrip_runs_the_battery_once(capsys, files, monkeypatch):
     for module in (strposet.cli, strposet.conditions, strposet.reconstruction):
         monkeypatch.setattr(module, "witness_battery", counting,
                             raising=False)
-    code, _ = run_json(capsys, "roundtrip", files["p3"], "--seed", "3")
-    assert code == 0 and len(calls) == 1
+    for name in ("p3", "f0"):
+        code, _ = run_json(capsys, "roundtrip", files[name])
+        assert code in (0, 1)
+    assert calls == []
 
 
 def test_roundtrip_corrupt(capsys, files):
@@ -635,13 +696,12 @@ def test_output_file_matches_stdout(capsys, files):
 
 @pytest.mark.parametrize("argv", [
     ["mu", "{ag21}", "--x", "x", "--m", "pt00", "--amax", "1"],
-    ["roundtrip", "{one_point}", "--corrupt", "--allow-weak-battery"],
-    ["roundtrip", "{bare_curve}", "--with-rays", "--allow-weak-battery"],
-    ["roundtrip", "{ag21}", "--k-cap", "0", "--allow-weak-battery"],
-    ["roundtrip", "{ag21}", "--k-cap", "0", "--with-rays",
-     "--allow-weak-battery"],
-    ["roundtrip", "{ag21}", "--k-cap", "1", "--allow-weak-battery"],
-    ["roundtrip", "{ag32}", "--k-cap", "4", "--allow-weak-battery"],
+    ["roundtrip", "{one_point}", "--corrupt"],
+    ["roundtrip", "{bare_curve}", "--with-rays"],
+    ["roundtrip", "{ag21}", "--k-cap", "0"],
+    ["roundtrip", "{ag21}", "--k-cap", "0", "--with-rays"],
+    ["roundtrip", "{ag21}", "--k-cap", "1"],
+    ["roundtrip", "{ag32}", "--k-cap", "4"],
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{curve7_map}"],
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{string_map}"],
     ["reconstruct", "{ag21}", "{ag21}", "--map", "{bool_map}"],
@@ -689,28 +749,23 @@ def test_library_value_errors_exit_3(capsys, files, tmp_path, argv):
 
 
 def test_roundtrip_k_cap_refusals_name_the_cause(capsys, files):
-    code, _, err = run(capsys, "roundtrip", files["ag21"], "--k-cap", "1",
-                       "--allow-weak-battery")
+    code, _, err = run(capsys, "roundtrip", files["ag21"], "--k-cap", "1")
     assert code == 3 and "K-sets have at least two curves" in err
     code, _, err = run(capsys, "roundtrip", files["ag21"], "--k-cap", "0",
-                       "--with-rays", "--allow-weak-battery")
+                       "--with-rays")
     assert code == 3 and "every fiber needs a node" in err
     code, data = run_json(capsys, "roundtrip", files["ag21"], "--k-cap", "1",
-                          "--with-rays", "--allow-weak-battery")
+                          "--with-rays")
     assert code == 0 and data["recovered"] is True
 
 
 def test_roundtrip_refuses_oversized_domain_before_building_it(capsys,
                                                                 files):
     start = time.perf_counter()
-    code, _, err = run(capsys, "roundtrip", files["ag32"], "--k-cap", "4",
-                       "--allow-weak-battery")
+    code, _, err = run(capsys, "roundtrip", files["ag32"], "--k-cap", "4")
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "14262660 nodes, over the cap of 1000000" in err
-    # without the flag the weak battery refuses first
-    code, data = run_json(capsys, "roundtrip", files["ag32"], "--k-cap", "4")
-    assert code == 1 and data["refused"] is True
 
 
 def test_usage_errors_exit_2(capsys, files):

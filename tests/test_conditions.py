@@ -52,6 +52,16 @@ def test_p5_survey_cusp(f3):
     assert rep.params["checked"] == 9
 
 
+def test_surveys_refuse_windows_that_hold_nothing(f3):
+    # no instance fits |S| <= 0 or |T| <= 0, and no K fits a cap of 1
+    for smax, tmax in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="holds nothing"):
+            survey_p5(f3, smax, tmax)
+    for cap in (1, 0):
+        with pytest.raises(ValueError, match="holds no K"):
+            survey_j3(f3, cap)
+
+
 def test_p1_to_p4_shapes(f0):
     reports = check_p1_to_p4(f0, k=1)
     by_name = {r.condition: r for r in reports}

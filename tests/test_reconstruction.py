@@ -19,7 +19,7 @@ from conftest import fragments
 from helpers import (brute_k_sets, census_fragments, enumerate_domain,
                      extend_psi_to_phi, induce_str_iso_by_domain, k_sets,
                      restrict_support, rho1_from_psi_by_curve,
-                     rho2_from_phi_by_node, trace_v1, unmap,
+                     rho2_from_phi_by_node, separated, trace_v1, unmap,
                      validate_all_pairs, verify_factorization_by_node)
 
 
@@ -284,9 +284,14 @@ def test_rho2_records_nonmember_images(f0):
 
 
 def test_rho2_requires_every_fiber(f0):
-    table = {finite_node(0b001, 0b01): finite_node(0b001, 0b01)}
-    with pytest.raises(ReconstructionError, match="fiber over e"):
-        rho2_from_phi(StrIso(f0, f0, table))
+    phi = StrIso(f0, f0, {finite_node(0b001, 0b01): finite_node(0b001, 0b01)})
+    rho2, trace = rho2_from_phi(phi)
+    assert rho2 == {0: 0}
+    assert trace.conflicts == [{"kind": "empty-fiber", "m": "e"}]
+    with pytest.raises(ReconstructionError, match="conflicting evidence") \
+            as err:
+        build_rho(phi)
+    assert err.value.trace.conflicts[0] == {"kind": "empty-fiber", "m": "e"}
 
 
 # -- curve map ----------------------------------------------------------------
@@ -336,16 +341,21 @@ def test_rho1_ambiguity_on_symmetric_curves(f0):
 def test_rho1_needs_k_sets():
     lonely = PosetFragment(1, 1, [(0, 0)], h1_labels=["solo"])
     psi = induce_str_iso(identity_iso(lonely), DomainSpec(k_cap=1))
-    with pytest.raises(ReconstructionError, match="curve solo"):
-        rho1_from_psi(psi)
+    rho1, trace = rho1_from_psi(psi)
+    assert rho1 == {} and trace.rho1_table == {}
+    assert trace.conflicts == [{"kind": "no-k-set", "x": "solo"}]
 
 
 def test_rho1_rejects_truncated_domain_cleanly(planted3):
     # support cap of 2 drops most K-sets from the tabulated domain; the
-    # uncovered ones must not leak out as a raw lookup failure
+    # uncovered ones must not leak out as a raw lookup failure, and every
+    # curve that keeps no K-set is named
     psi = restrict_support(induce_str_iso(identity_iso(planted3)), 2)
-    with pytest.raises(ReconstructionError, match="map domain"):
-        rho1_from_psi(psi)
+    rho1, trace = rho1_from_psi(psi)
+    bare = [c["x"] for c in trace.conflicts if c["kind"] == "no-k-set"]
+    assert bare and all(planted3.resolve_h1_label(x) not in rho1
+                        for x in bare)
+    assert len(bare) + len(trace.rho1_table) == planted3.n1
 
 
 def test_rho1_flags_broken_k_set_images(f0):
@@ -364,8 +374,10 @@ def test_rho1_from_rays(f3):
 
 def test_rho1_from_rays_requires_rays(f3):
     psi = induce_str_iso(identity_iso(f3))
-    with pytest.raises(ReconstructionError, match="ray node"):
-        rho1_from_rays(psi)
+    rho1, trace = rho1_from_rays(psi)
+    assert rho1 == {} and trace.evidence == []
+    assert trace.conflicts == [{"kind": "ray-not-in-domain", "x": label}
+                               for label in f3.h1_labels]
 
 
 def test_rho1_flags_nonray_images(f0):
@@ -415,15 +427,15 @@ def test_build_rho_reports_incidence_violation(f0):
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_build_rho_keeps_the_point_map_when_rho1_raises(planted3, corrupt):
     # two curves per point leave curve x2 without K-sets in the domain, so
-    # rho1_from_psi raises after rho2_from_phi has read every fiber
+    # the curve map fails there; build_rho's trace holds both stages whole
     phi = restrict_support(induce_str_iso(relabel(planted3, seed=7)[1]), 2)
     if corrupt:
         phi = corrupt_str_iso(phi, seed=0)
     _, t2 = rho2_from_phi(phi)
-    with pytest.raises(ReconstructionError, match="no K-sets") as raised:
-        rho1_from_psi(phi)
-    t1 = raised.value.trace
-    with pytest.raises(ReconstructionError, match="no K-sets") as err:
+    _, t1 = rho1_from_psi(phi)
+    assert {"kind": "no-k-set", "x": "x2"} in t1.conflicts
+    with pytest.raises(ReconstructionError, match="conflicting evidence") \
+            as err:
         build_rho(phi)
     trace = err.value.trace
     assert len(trace.rho2_table) == planted3.n2
@@ -456,7 +468,7 @@ def test_verify_factorization_catches_damage(f0):
 
 def route_outcome(route, psi, *args):
     """Everything a reconstruction route shows: the map and trace bytes, or
-    the error and the trace it carries, plus the probes spent either way.
+    ``build_rho``'s error and the trace it carries, plus the probes spent.
     The trace is compared spelled out, since the node-by-node route lists a
     K-set once per curve where the fast route lists it once."""
     try:
@@ -546,11 +558,14 @@ def test_census_never_returns_a_wrong_map(monkeypatch):
     """Every class up to 5 curves and 3 points, k_cap 2 and 3, psi-only and
     with rays, seeds 0-2: build_rho either raises or returns the hidden
     map, and its fast stages agree with the node-by-node ones on the map,
-    the trace bytes and the probes.  Every round trip recovers or says
-    why not: with conflicts, or with the error that stopped it."""
+    the trace bytes and the probes.  A psi-only round trip recovers exactly
+    when the literal K-sets separate every curve, one with rays always
+    recovers, and every round trip that does not recover lists a
+    conflict."""
     assert len(CENSUS) == 189
-    built = stopped = 0
+    built = 0
     for frag in CENSUS:
+        split = {k_cap: separated(frag, k_cap) for k_cap in (2, 3)}
         for seed in (0, 1, 2):
             rho = relabel(frag, seed)[1]
             for k_cap in (2, 3):
@@ -572,12 +587,10 @@ def test_census_never_returns_a_wrong_map(monkeypatch):
                         built += 1
                     result = round_trip(frag, seed, psi_only=not rays,
                                         k_cap=k_cap)
-                    assert (result.recovered or result.conflicts
-                            or result.error), (frag.up, seed, k_cap, rays)
-                    assert (result.error is None) == result.recovered
-                    stopped += not (result.recovered or result.conflicts)
+                    assert result.recovered == (rays or split[k_cap]), (
+                        frag.up, seed, k_cap, rays)
+                    assert result.recovered or result.conflicts
     assert built > 0
-    assert stopped > 0      # some stop before recording any conflict
 
 
 # -- psi to phi ---------------------------------------------------------------
@@ -607,7 +620,6 @@ def test_round_trip_recovers_planted(planted3):
         assert witness_battery(planted3).passed
         assert result.conflicts == []
         assert result.probes > 0
-        assert result.error is None and "error" not in result.to_json()
 
 
 def test_round_trip_with_rays(f0):
@@ -626,8 +638,35 @@ def test_round_trip_corrupt(planted3):
     assert witness_battery(planted3).passed  # it judges the fragment alone
 
 
+def test_round_trip_names_another_relabeling():
+    # one curve under two points: swapping the two finite nodes gives the
+    # induced map of the relabeling that also swaps the points, so the
+    # damaged map reconstructs cleanly, to a map other than the hidden one
+    frag = PosetFragment(1, 2, [(0, 0), (0, 1)])
+    result = round_trip(frag, seed=0, psi_only=False, corrupt=True)
+    assert not result.recovered
+    assert [c["kind"] for c in result.conflicts] == ["not-the-hidden-map"]
+    assert result.conflicts[0]["rho"]["h2_map"] == list(
+        reversed(relabel(frag, 0)[1].h2_map))
+
+
 def test_round_trip_json_shape(f3):
     out = round_trip(f3, seed=0).to_json()
-    assert list(out) == ["version", "recovered", "error", "conflicts",
-                         "probes"]
-    assert out["error"] == "conflicting evidence; see trace"
+    assert list(out) == ["version", "recovered", "conflicts", "probes"]
+    assert out["recovered"] is False and out["conflicts"]
+
+
+def test_separation_not_the_battery_decides_recovery():
+    # ag(2,2) fails the battery and recovers; the default random fragment
+    # with 12 curves passes it and fails at k_cap 2, where no two-curve
+    # K-set holds its generic curve
+    ag22 = affine_plane_fragment(2, 2)
+    r12 = random_fragment(GeneratorParams(n1=12, n2=3, seed=0))
+    assert not witness_battery(ag22).passed and witness_battery(r12).passed
+    for frag, k_cap, expected in ((ag22, 2, True), (r12, 2, False),
+                                  (r12, 3, True)):
+        assert separated(frag, k_cap) is expected
+        result = round_trip(frag, seed=0, k_cap=k_cap)
+        assert result.recovered is expected
+        assert result.recovered or result.conflicts
+    assert round_trip(ag22, seed=0, k_cap=3).recovered
