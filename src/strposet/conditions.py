@@ -116,7 +116,10 @@ def check_j1(fragment: PosetFragment) -> ConditionReport:
 
 
 def check_j2(fragment: PosetFragment, k: int = 2) -> ConditionReport:
-    """Every curve lies below at least k points."""
+    """Every curve lies below at least k points; ValueError on a threshold
+    below 1, which every curve meets."""
+    if k < 1:
+        raise ValueError(f"J2 threshold k={k} is met by every curve")
     failures = []
     for i in range(fragment.n1):
         c = fragment.up[i].bit_count()
@@ -153,7 +156,10 @@ def survey_j3(fragment: PosetFragment, size_cap: int = 4) -> ConditionReport:
 
 
 def check_j4(fragment: PosetFragment, tmax: int = 2) -> ConditionReport:
-    """Every nonempty T of at most tmax points has a common curve below."""
+    """Every nonempty T of at most tmax points has a common curve below;
+    ValueError on a window below 1, which holds no T."""
+    if tmax < 1:
+        raise ValueError(f"J4 window tmax={tmax} holds nothing")
     failures = []
     for size in range(1, tmax + 1):
         for combo in combinations(range(fragment.n2), size):

@@ -13,23 +13,30 @@ of stopping or producing a wrong map; only ``build_rho`` raises.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
+from operator import itemgetter
 
 from .core import IsoMap, PosetFragment, bits_of, mask_image, relabel
 from .structure import (StrNode, node_from_tuple, ray_node, str_leq,
                         str_member)
 
 MAX_DOMAIN_NODES = 1_000_000    # induce_str_iso refuses larger domains
+# Peak RSS a psi-only round trip adds per domain node: 299 MiB over the
+# imported package for ag(3,2) at k_cap 3 (740,151 nodes; Python 3.11 on
+# x86-64 Linux).
+ROUND_TRIP_BYTES_PER_NODE = 424
 
 @dataclass(slots=True)
 class ReconstructionTrace:
     """What each map entry rests on.  ``evidence`` holds (node, image)
     StrNode pairs, each looked-up node once, and a ``rho1_table`` entry keeps
-    its ``evidence`` as positions into that list.  ``to_json`` prints both
-    as stored: the pairs once, as ``[node, image]`` like a map file's, and
-    each curve's positions."""
+    its ``evidence`` as positions into that list, an ``array('I')`` from
+    ``rho1_from_psi``.  ``to_json`` prints both as stored: the pairs once,
+    as ``[node, image]`` like a map file's, and each curve's positions as a
+    list."""
 
     rho2_table: dict = field(default_factory=dict)
     rho1_table: dict = field(default_factory=dict)
@@ -39,7 +46,8 @@ class ReconstructionTrace:
     def to_json(self) -> dict:
         return {"version": 2,
                 "rho2": {str(k): v for k, v in self.rho2_table.items()},
-                "rho1": {str(k): v for k, v in self.rho1_table.items()},
+                "rho1": {str(k): {**v, "evidence": list(v["evidence"])}
+                         for k, v in self.rho1_table.items()},
                 "evidence": [[node.to_json(), img.to_json()]
                              for node, img in self.evidence],
                 "conflicts": list(self.conflicts)}
@@ -224,11 +232,14 @@ def induce_str_iso(rho: IsoMap, spec: DomainSpec = DomainSpec()) -> StrIso:
     """Tabulate (A, B) -> (rho A, rho B) fiber by fiber, K by size and then in
     ``combinations`` order, then on ray nodes.  Each K grows from its prefix
     with its image, one OR of a curve's image bit per node.  Refuses with
-    ValueError when ``domain_size`` exceeds MAX_DOMAIN_NODES."""
+    ValueError when ``domain_size`` exceeds MAX_DOMAIN_NODES, naming the
+    memory a round trip over that domain would need."""
     fx = rho.source
     if (size := domain_size(fx, spec)) > MAX_DOMAIN_NODES:
+        mib = size * ROUND_TRIP_BYTES_PER_NODE >> 20
         raise ValueError(f"the induced domain would have {size} nodes, "
-                         f"over the cap of {MAX_DOMAIN_NODES}; lower k_cap")
+                         f"over the cap of {MAX_DOMAIN_NODES} (a round trip "
+                         f"would need about {mib} MiB); lower k_cap")
     h1 = rho.h1_map
     table = {}
     for m, down in enumerate(fx.down):
@@ -262,36 +273,41 @@ def corrupt_str_iso(phi: StrIso, seed: int = 0) -> StrIso:
     raise ValueError("domain has no two nodes in different fibers")
 
 
+def _singleton_fibers(phi: StrIso) -> list[list[StrNode]]:
+    """The keys of each point's finite singleton fiber, in table order."""
+    fibers: list[list[StrNode]] = [[] for _ in range(phi.fragment_x.n2)]
+    for (b, ray), run in groupby(phi.table, itemgetter(1, 2)):
+        if ray is None and b.bit_count() == 1:
+            fibers[b.bit_length() - 1].extend(run)
+    return fibers
+
+
 def rho2_from_phi(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
     """Point map from where singleton-fiber nodes land.
 
     Every domain node over {m} must map into one singleton fiber {n};
     disagreements, non-singleton images and empty fibers become conflicts.
-    One pass over the table groups the (node, image) pairs by fiber, and
-    each fiber adds its size to the probes.  An image over one point of
-    fragment_y is a member iff its curves meet those below the point; any
-    other image takes ``str_member``, which raises ValueError on masks
-    outside fragment_y.
+    Each fiber's keys, as ``_singleton_fibers`` lists them, are looked up in
+    the table, and each fiber adds its size to the probes.  An image over
+    one point of fragment_y is a member iff its curves meet those below the
+    point; any other image takes ``str_member``, which raises ValueError on
+    masks outside fragment_y.
     """
     trace = ReconstructionTrace()
     fx, fy = phi.fragment_x, phi.fragment_y
+    table = phi.table
     h1_top, h2_top = fy.all_h1_mask, fy.all_h2_mask
-    groups: dict[int, list] = {m: [] for m in range(fx.n2)}
-    for pair in phi.table.items():
-        _, b, ray = pair[0]
-        if ray is None and b.bit_count() == 1:
-            groups[b.bit_length() - 1].append(pair)
     rho2: dict[int, int] = {}
-    for m in range(fx.n2):
-        pairs = groups[m]
-        if not pairs:
+    for m, keys in enumerate(_singleton_fibers(phi)):
+        if not keys:
             trace.conflicts.append({"kind": "empty-fiber",
                                     "m": fx.h2_labels[m]})
             continue
-        phi.probes += len(pairs)
+        phi.probes += len(keys)
         target = None
         witness = None
-        for node, img in pairs:
+        for node in keys:
+            img = table[node]
             a, b, _ = img
             if 0 <= a <= h1_top and 0 < b <= h2_top and not b & (b - 1):
                 member = bool(a & fy.down[b.bit_length() - 1])
@@ -327,44 +343,74 @@ def rho2_from_phi(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
     return rho2, trace
 
 
+def _fiber_k_sets(fx: PosetFragment, b: int, keys: list[StrNode],
+                  size_cap: int) -> list[StrNode]:
+    """The K-sets among point b's singleton-fiber keys: the (K, {b}) with
+    2 <= |K| <= size_cap, K inside fx and common upper set {b}, by size and
+    then lexicographic K, the order of ``unique_point_sets``.
+
+    An induced table lists them in that order, and a K mostly shares all
+    but its last curve with the key before it, so the common upper set of
+    that prefix is carried over.  A fiber out of that order, as a map
+    file's can be, is sorted."""
+    b_mask, outside, up = 1 << b, ~fx.all_h1_mask, fx.up
+    k_sets, in_order, prev, prev_size = [], True, 0, 0
+    prefix, prefix_up = -1, 0
+    for key in keys:
+        a = key[0]
+        size = a.bit_count()
+        if not 2 <= size <= size_cap or a & outside:
+            continue
+        last = a.bit_length() - 1
+        if a ^ 1 << last != prefix:
+            prefix = a ^ 1 << last
+            prefix_up = fx.common_h2_above(prefix)
+        if prefix_up & up[last] != b_mask:
+            continue
+        # of two K of one size, the one holding the lowest curve that is in
+        # just one of them comes first
+        diff = a ^ prev
+        if size < prev_size or size == prev_size and not diff & -diff & prev:
+            in_order = False
+        k_sets.append(key)
+        prev, prev_size = a, size
+    if in_order:
+        return k_sets
+    return sorted(k_sets, key=lambda node: (node[0].bit_count(),
+                                            list(bits_of(node[0]))))
+
+
 def rho1_from_psi(psi: StrIso, size_cap: int = 3
                   ) -> tuple[dict[int, int], ReconstructionTrace]:
     """Curve map by intersecting the first ordinates of K-set images.
 
-    One pass per point lists its K-sets, the (K, {b}) with |K| <= size_cap
-    and mub(K) = {b}, by size, then lexicographic K.  Each K-set is looked
-    up and its image tested once, and the pair goes to ``trace.evidence``;
-    a curve takes the positions of the K-sets holding it, in that order,
-    and each (curve, K-set) pair is one probe.  ``size_cap`` drops to the
-    largest first ordinate over a single point in psi's domain, since no
-    larger K is tabulated.  The image intersection always contains the
-    true image, so a singleton answer is correct whenever psi really is
-    induced by a relabeling; a larger intersection is recorded as an
-    ambiguity, never guessed at.  Only K-sets psi actually tabulates count
-    as evidence; a curve that none holds is a ``no-k-set`` conflict, as on
-    a map file over a truncated domain.
+    The K-sets are the keys (K, {b}) of the singleton fibers with
+    2 <= |K| <= size_cap, K inside fragment_x and mub(K) = {b}, point by
+    point, by size, then lexicographic K.  Each is looked up and its image
+    tested once, and the table's own pair goes to ``trace.evidence``; a
+    curve takes the positions of the K-sets holding it, in that order, as
+    an ``array('I')``, and each (curve, K-set) pair is one probe.  The image
+    intersection always contains the true image, so a singleton answer is
+    correct whenever psi really is induced by a relabeling; a larger
+    intersection is recorded as an ambiguity, never guessed at.  Only
+    K-sets psi actually tabulates count as evidence; a curve that none
+    holds is a ``no-k-set`` conflict, as on a map file over a truncated
+    domain.
     """
     trace = ReconstructionTrace()
     fx, fy = psi.fragment_x, psi.fragment_y
     table, evidence = psi.table, trace.evidence
-    if not any(a.bit_count() >= size_cap and ray is None
-               and b.bit_count() == 1 for a, b, ray in table):
-        size_cap = max((a.bit_count() for a, b, ray in table
-                        if ray is None and b.bit_count() == 1), default=0)
-    held = [[] for _ in range(fx.n1)]   # held[x]: positions in evidence
-    is_k_set = []                       # per position
-    for b, down in enumerate(fx.down):
-        b_mask = 1 << b
-        for k in fx.unique_point_sets(b, down, size_cap):
-            node = node_from_tuple((k, b_mask, None))
-            if (img := table.get(node)) is None:
-                continue
-            position, rest = len(evidence), k
+    held = [array("I") for _ in range(fx.n1)]  # held[x]: evidence positions
+    is_k_set = bytearray()                      # per position
+    for b, keys in enumerate(_singleton_fibers(psi)):
+        for key in _fiber_k_sets(fx, b, keys, size_cap):
+            position, rest = len(evidence), key[0]
             while rest:
                 low = rest & -rest
                 held[low.bit_length() - 1].append(position)
                 rest ^= low
-            evidence.append((node, img))
+            img = table[key]
+            evidence.append((key, img))
             a, b_img, _ = img
             is_k_set.append(b_img.bit_count() == 1 and a.bit_count() >= 2
                             and fy.common_h2_above(a) == b_img)

@@ -420,15 +420,20 @@ def brute_k_sets(fragment: PosetFragment, x: int, cap: int):
 def separated(fragment: PosetFragment, k_cap: int) -> bool:
     """K-set separation: for every curve x, the literal K-sets of at most
     k_cap curves that hold x exist and their first ordinates intersect in
-    {x} alone.  A psi-only round trip recovers exactly then."""
-    for x in range(fragment.n1):
-        nodes = brute_k_sets(fragment, x, k_cap)
-        inter = fragment.all_h1_mask
-        for node in nodes:
-            inter &= node.a_mask
-        if not nodes or inter != 1 << x:
-            return False
-    return True
+    {x} alone.  A psi-only round trip recovers exactly then.
+
+    Each combination of curves takes the element-level mub once, and a
+    K-set's first ordinate is intersected into each curve it holds."""
+    points = {frozenset({h2(b)}) for b in range(fragment.n2)}
+    inter = [fragment.all_h1_mask] * fragment.n1
+    held = [False] * fragment.n1
+    for size in range(1, k_cap + 1):
+        for combo in combinations(range(fragment.n1), size):
+            if mub(fragment, [h1(i) for i in combo]) in points:
+                for x in combo:
+                    inter[x] &= mask_of(combo)
+                    held[x] = True
+    return all(held[x] and inter[x] == 1 << x for x in range(fragment.n1))
 
 
 # -- oracles and paper constructions that no verb runs ----------------------

@@ -187,6 +187,10 @@ def test_check_threshold_sensitivity(capsys, files):
     (["--smax", "0"], "P5 window smax=0, tmax=1 holds nothing"),
     (["--tmax", "0"], "P5 window smax=1, tmax=0 holds nothing"),
     (["--j3-cap", "1"], "J3 size cap 1 holds no K of 2+ curves"),
+    (["--j4-tmax", "0"], "J4 window tmax=0 holds nothing"),
+    (["--j4-tmax", "-1"], "J4 window tmax=-1 holds nothing"),
+    (["--k", "0"], "J2 threshold k=0 is met by every curve"),
+    (["--k", "-2"], "J2 threshold k=-2 is met by every curve"),
 ])
 def test_check_refuses_windows_that_hold_nothing(capsys, files, flags,
                                                  cause):

@@ -62,6 +62,20 @@ def test_surveys_refuse_windows_that_hold_nothing(f3):
             survey_j3(f3, cap)
 
 
+def test_checks_refuse_thresholds_that_ask_nothing(f3):
+    # no T fits |T| <= 0, and every curve lies below at least 0 points;
+    # P3 and the battery run J2, the battery J4 as well
+    for tmax in (0, -1):
+        with pytest.raises(ValueError, match="holds nothing"):
+            check_j4(f3, tmax)
+        with pytest.raises(ValueError, match="holds nothing"):
+            witness_battery(f3, j4_tmax=tmax)
+    for k in (0, -2):
+        for check in (check_j2, check_p1_to_p4, witness_battery):
+            with pytest.raises(ValueError, match="met by every curve"):
+                check(f3, k)
+
+
 def test_p1_to_p4_shapes(f0):
     reports = check_p1_to_p4(f0, k=1)
     by_name = {r.condition: r for r in reports}

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -74,7 +75,9 @@ def test_induce_refuses_oversized_domains():
     ag32 = affine_plane_fragment(3, 2)
     rho = relabel(ag32, 1)[1]
     with pytest.raises(ValueError, match=f"14262660 nodes, over the cap of "
-                                         f"{MAX_DOMAIN_NODES}"):
+                                         f"{MAX_DOMAIN_NODES} "
+                                         r"\(a round trip would need about "
+                                         r"5767 MiB\); lower k_cap"):
         induce_str_iso(rho, DomainSpec(k_cap=4))
     with pytest.raises(ValueError, match="14262660 nodes"):
         round_trip(ag32, 1, k_cap=4)
@@ -446,6 +449,25 @@ def test_build_rho_keeps_the_point_map_when_rho1_raises(planted3, corrupt):
     assert trace.evidence == t1.evidence
 
 
+def test_build_rho_allocates_a_small_share_of_the_table():
+    # both stages walk the table's own keys and cite its own node objects,
+    # so the affine job's map (28,440 nodes) costs build_rho a third of the
+    # table at most; traced bytes, unlike RSS, do not depend on the host
+    rho = relabel(affine_plane_fragment(3, 2), 1)[1]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        phi = induce_str_iso(rho, DomainSpec(k_cap=2))
+        table = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert build_rho(phi, 2, False)[0] == rho
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert extra < table / 3, (extra, table)
+
+
 def test_verify_factorization_clean(f3):
     rho = relabel(f3, seed=4)[1]
     phi = induce_str_iso(rho, DomainSpec(include_rays=True))
@@ -481,8 +503,19 @@ def route_outcome(route, psi, *args):
     return rho, json_text(trace_v1(trace.to_json())), psi.probes
 
 
+def built_trace(phi, size_cap, prefer_rays):
+    """``build_rho``'s printed trace, whether it returns or raises."""
+    try:
+        return build_rho(phi, size_cap, prefer_rays)[1].to_json()
+    except ReconstructionError as exc:
+        return exc.trace.to_json()
+
+
 def assert_routes_agree(rho, spec, damage="honest", seed=0):
-    phi = induce_str_iso(rho, spec)
+    """The fast stages and ``build_rho`` against the node-by-node routes on
+    the induced map after ``damage``; "reordered" lists the same pairs in
+    a seeded shuffled key order, as a map file may."""
+    phi = induced = induce_str_iso(rho, spec)
     slow = induce_str_iso_by_domain(rho, spec)
     assert list(phi.table.items()) == list(slow.table.items())
     if damage == "corrupt":
@@ -491,6 +524,10 @@ def assert_routes_agree(rho, spec, damage="honest", seed=0):
         phi = shuffle_images(phi, seed)
     elif damage == "truncated":
         phi = restrict_support(phi, 2)
+    elif damage == "reordered":
+        pairs = list(phi.table.items())
+        random.Random(seed).shuffle(pairs)
+        phi = StrIso(phi.fragment_x, phi.fragment_y, dict(pairs))
 
     def copy():
         return StrIso(phi.fragment_x, phi.fragment_y, phi.table)
@@ -500,6 +537,20 @@ def assert_routes_agree(rho, spec, damage="honest", seed=0):
     for size_cap in sorted({1, 2, spec.k_cap}):
         assert route_outcome(rho1_from_psi, copy(), size_cap) == \
             route_outcome(rho1_from_psi_by_curve, copy(), size_cap)
+    if damage == "reordered":
+        args = spec.k_cap, spec.include_rays
+        fast = route_outcome(build_rho, copy(), *args)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reconstruction, "rho2_from_phi",
+                          rho2_from_phi_by_node)
+            patch.setattr(reconstruction, "rho1_from_psi",
+                          rho1_from_psi_by_curve)
+            assert fast == route_outcome(build_rho, copy(), *args)
+        # rho2 names the first node of each fiber in table order as its
+        # witness; the curve map and the pairs it cites do not move
+        moved, kept = built_trace(copy(), *args), built_trace(induced, *args)
+        for part in ("rho1", "evidence"):
+            assert moved[part] == kept[part]
     other = relabel(rho.source, seed + 1)[1]
     for hypothesis in (rho, other):
         fast, slow = copy(), copy()
@@ -510,7 +561,8 @@ def assert_routes_agree(rho, spec, damage="honest", seed=0):
 
 @given(fragments(max_n1=6, max_n2=3), st.integers(0, 10 ** 6),
        st.integers(1, 3), st.booleans(),
-       st.sampled_from(["honest", "corrupt", "shuffled", "truncated"]))
+       st.sampled_from(["honest", "corrupt", "shuffled", "truncated",
+                        "reordered"]))
 @settings(max_examples=200, deadline=None)
 def test_reconstruction_routes_agree(frag, seed, k_cap, rays, damage):
     assume(not rays or all(frag.up))
@@ -524,7 +576,7 @@ def test_reconstruction_routes_agree(frag, seed, k_cap, rays, damage):
 
 def test_reconstruction_routes_agree_on_planted(planted3):
     for seed, damage in enumerate(("honest", "corrupt", "shuffled",
-                                   "truncated")):
+                                   "truncated", "reordered")):
         for rays in (False, True):
             assert_routes_agree(relabel(planted3, seed)[1],
                                 DomainSpec(k_cap=3, include_rays=rays),
