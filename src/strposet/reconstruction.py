@@ -395,8 +395,11 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3
     intersection is recorded as an ambiguity, never guessed at.  Only
     K-sets psi actually tabulates count as evidence; a curve that none
     holds is a ``no-k-set`` conflict, as on a map file over a truncated
-    domain.
+    domain.  A size_cap below 2 admits no K-set and raises ValueError.
     """
+    if size_cap < 2:
+        raise ValueError(f"k_cap {size_cap} can never recover: K-sets have "
+                         "at least two curves; use k_cap >= 2 or rays")
     trace = ReconstructionTrace()
     fx, fy = psi.fragment_x, psi.fragment_y
     table, evidence = psi.table, trace.evidence

@@ -138,25 +138,24 @@ def w_max(fragment: PosetFragment, c_mask: int, d_mask: int) -> int:
     return c_mask & fragment.common_h1_below(d_mask)
 
 
-def _breaks_witness(fragment: PosetFragment, a: int, w: int, d: int) -> bool:
-    """Whether some curve of A shares a point outside D with every curve of
-    the witness set W (the failure of E3)."""
-    outside = fragment.common_h2_above(w) & ~d
-    up = fragment.up
-    for i in bits_of(a):
-        if up[i] & outside:
-            return True
-    return False
+def _bad(fragment: PosetFragment, c: int, d: int) -> int:
+    """Curves of C that share a point outside D with every curve of
+    w_max(C, D): the curves no node dominated by (C, D) may hold (E3)."""
+    outside = fragment.common_h2_above(c & fragment.common_h1_below(d)) & ~d
+    reach = 0
+    for p in bits_of(outside):
+        reach |= fragment.down[p]
+    return c & reach
 
 
 def _leq_masks(fragment: PosetFragment, a: int, b: int, c: int, d: int) -> bool:
-    """Order test on member pairs; no membership validation (hot path)."""
+    """Order test on member pairs, whose w_max is never empty; no membership
+    validation (hot path)."""
     if a == c and b == d:
         return True
     if a & ~c or a == c or d & ~b:
         return False
-    w = c & fragment.common_h1_below(d)
-    return bool(w) and not _breaks_witness(fragment, a, w, d)
+    return not a & _bad(fragment, c, d)
 
 
 def _same_node(lower: NodeLike, upper: NodeLike) -> bool:
@@ -218,24 +217,17 @@ def str_leq_bruteforce(fragment: PosetFragment, lower: NodeLike,
 
 
 def has_strictly_smaller(fragment: PosetFragment, node: NodeLike) -> bool:
-    """True iff some member node sits strictly below (A, B) in the fiber.
+    """True iff some member node sits strictly below (A, B) in the fiber:
+    |A| >= 2 and ``_bad(A, B)`` is empty.  (``_bad`` is empty or holds all
+    of w_max(A, B), which every member (A', B) meets.)
 
-    A strictly smaller node is (A', B) with A' a proper subset of A meeting
-    w_max(A, B), dominated via some W inside w_max.  When the common upper
-    set of w_max already equals B, every such A' works (the witness
-    condition becomes vacuous), so one exists as soon as |A| >= 2.  When it
-    is larger than B, any a below all of B breaks the witness condition for
-    every W, and every member A' contains such an a, so nothing lies below.
     Positive height in this sense is weaker than B being the minimal upper
     bound set of some K inside A: a node whose single fully-below curve w
     has upper set B sits above the one-curve node (w, B), yet no such K
     exists, since a K needs two curves (the ray shadows in the tests).
     """
     a, b = require_member(fragment, node)
-    if a.bit_count() < 2:
-        return False
-    w = w_max(fragment, a, b)
-    return fragment.common_h2_above(w) == b
+    return a.bit_count() >= 2 and not _bad(fragment, a, b)
 
 
 @dataclass
@@ -338,24 +330,28 @@ def enumerate_fiber(fragment: PosetFragment, b_mask: int, support_mask: int,
 
 
 def _down_set(fragment: PosetFragment, a: int, b: int) -> list[int]:
-    """First ordinates A' inside A with (A', B) a member below (A, B), in
-    one walk over the subsets of A; E1 makes that restriction complete."""
+    """First ordinates of the members (A', B) below (A, B), descending: A,
+    then the nonempty subsets of A & ~_bad(A, B) meeting common_h1_below(B).
+    E1 keeps them inside A and ``_bad`` is E3, so none needs an order test."""
     if a.bit_count() > ENUM_CAP:
         raise ValueError(f"first ordinate larger than {ENUM_CAP}")
     below = fragment.common_h1_below(b)
-    subs = []
-    sub = a
+    allowed = a & ~_bad(fragment, a, b)
+    subs = [a]
+    sub = allowed
     while sub:
-        if sub & below and _leq_masks(fragment, sub, b, a, b):
+        if sub != a and sub & below:
             subs.append(sub)
-        sub = (sub - 1) & a
+        sub = (sub - 1) & allowed
     return subs
 
 
 def down_set_in_fiber(fragment: PosetFragment, node: NodeLike) -> FiberView:
-    """The view on the members (A', B) below (A, B)."""
+    """The view on the members (A', B) below (A, B); a ray, whose one curve
+    has no proper nonempty subset, is alone in its view."""
     a, b = require_member(fragment, node)
-    nodes = [StrNode(sub, b) for sub in _down_set(fragment, a, b)]
+    top = node if isinstance(node, StrNode) else StrNode(a, b)
+    nodes = [top] + [StrNode(sub, b) for sub in _down_set(fragment, a, b)[1:]]
     return _build_view(fragment, b, nodes, a, a.bit_count())
 
 

@@ -353,18 +353,20 @@ def brute_has_smaller(fragment: PosetFragment, a_mask: int,
     return False
 
 
-def brute_down_set_size(fragment: PosetFragment, a_mask: int,
-                        b_mask: int) -> int:
+def brute_down_set(fragment: PosetFragment, a_mask: int,
+                   b_mask: int) -> set[int]:
+    """Literal reading: the first ordinates A' inside A with (A', B) a
+    member that ``str_leq_bruteforce`` puts below-or-equal (A, B)."""
     node = finite_node(a_mask, b_mask)
-    count = 0
+    found = set()
     sub = a_mask
     while sub:
         if (str_member(fragment, (sub, b_mask))
                 and str_leq_bruteforce(fragment, finite_node(sub, b_mask),
                                        node)):
-            count += 1
+            found.add(sub)
         sub = (sub - 1) & a_mask
-    return count
+    return found
 
 
 def brute_mu(fragment: PosetFragment, x: int, m: int, amax: int):
@@ -384,7 +386,7 @@ def brute_mu(fragment: PosetFragment, x: int, m: int, amax: int):
                 continue
             if not brute_fhp(fragment, a_mask, b_mask):
                 continue
-            size = brute_down_set_size(fragment, a_mask, b_mask)
+            size = len(brute_down_set(fragment, a_mask, b_mask))
             if best is None or size < best:
                 best = size
     return best

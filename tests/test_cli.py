@@ -761,6 +761,17 @@ def test_roundtrip_k_cap_refusals_name_the_cause(capsys, files):
     code, data = run_json(capsys, "roundtrip", files["ag21"], "--k-cap", "1",
                           "--with-rays")
     assert code == 0 and data["recovered"] is True
+    # reconstruct refuses a psi-path cap below 2 with the same cause
+    for cap, extra in (("1", ["--psi-only"]), ("0", ["--psi-only"]),
+                       ("-3", ["--psi-only"]), ("1", [])):
+        code, out, err = run(capsys, "reconstruct", files["p3"], files["p3y"],
+                             "--map", files["map"], "--k-cap", cap, *extra)
+        assert code == 3 and out == ""
+        assert "K-sets have at least two curves" in err
+    # a map that carries rays needs no K-set
+    code, data = run_json(capsys, "reconstruct", files["p3"], files["p3y"],
+                          "--map", files["map_rays"], "--k-cap", "1")
+    assert code == 0 and data["recovered"] is True
 
 
 def test_roundtrip_refuses_oversized_domain_before_building_it(capsys,

@@ -534,10 +534,17 @@ def assert_routes_agree(rho, spec, damage="honest", seed=0):
 
     assert route_outcome(rho2_from_phi, copy()) == \
         route_outcome(rho2_from_phi_by_node, copy())
-    for size_cap in sorted({1, 2, spec.k_cap}):
+    # no K-set has one curve: at size_cap 1 the oracle finds none for any
+    # curve, and the fast pass refuses the cap before looking
+    rho1, trace = rho1_from_psi_by_curve(copy(), 1)
+    assert not rho1 and len(trace.conflicts) == rho.source.n1
+    assert all(c["kind"] == "no-k-set" for c in trace.conflicts)
+    with pytest.raises(ValueError, match="at least two curves"):
+        rho1_from_psi(copy(), 1)
+    for size_cap in sorted({2, spec.k_cap} - {1}):
         assert route_outcome(rho1_from_psi, copy(), size_cap) == \
             route_outcome(rho1_from_psi_by_curve, copy(), size_cap)
-    if damage == "reordered":
+    if damage == "reordered" and (spec.k_cap >= 2 or spec.include_rays):
         args = spec.k_cap, spec.include_rays
         fast = route_outcome(build_rho, copy(), *args)
         with pytest.MonkeyPatch.context() as patch:

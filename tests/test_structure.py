@@ -10,13 +10,14 @@ from strposet import (GeneratorParams, StrNode, counting_formula,
                       format_node, has_strictly_smaller, mu_statistic,
                       parity_mub_check, random_fragment, ray_node, str_leq,
                       str_leq_bruteforce, str_member, w_max)
-from strposet.structure import node_from_tuple
+from strposet.core import bits_of, mask_of
+from strposet.structure import _bad, _down_set, node_from_tuple
 
 from conftest import fragment_and_member, fragments
-from helpers import (SmallPoset, brute_down_set_size, brute_fhp,
+from helpers import (SmallPoset, brute_down_set, brute_fhp,
                      brute_has_smaller, brute_mu, detect_I2, dominates_via,
-                     down_indices, ell, eta, fiber_height_positive,
-                     height_positive_by_order, index_of, join_above,
+                     down_indices, ell, eta, fiber_height_positive, h1, h2,
+                     height_positive_by_order, index_of, join_above, leq,
                      make_f0, make_f3, small_poset_isomorphic,
                      to_small_poset)
 
@@ -328,12 +329,17 @@ def test_fiber_json(f0):
     assert all(len(c) == 2 for c in out["covers"])
 
 
-def test_down_set_matches_view(f0):
+def test_down_set_matches_view(f0, f3):
     node = finite_node(0b111, 0b01)
     ds = down_set_in_fiber(f0, node)
     assert len(ds) == 7
     assert all(n.b_mask == 0b01 for n in ds.nodes)
     assert all(str_leq(f0, n, node) for n in ds.nodes)
+    # a ray is alone in its down set, without its finite twin
+    ray = ray_node(f3, 0)
+    ds = down_set_in_fiber(f3, ray)
+    assert ds.nodes == [ray] and ds.leq_rows == [1]
+    assert not str_leq(f3, finite_node(ray.a_mask, ray.b_mask), ray)
 
 
 # -- counting, parity, shapes ---------------------------------------------
@@ -354,12 +360,13 @@ def test_counting_and_parity_exhaustive():
     for frag in (make_f0(), make_f3()):
         for view in all_fibers(frag):
             for node in view.nodes:
+                brute = brute_down_set(frag, node.a_mask, node.b_mask)
+                ds = down_set_in_fiber(frag, node)
+                assert {n.a_mask for n in ds.nodes} == brute, node
                 if not has_strictly_smaller(frag, node):
                     continue
                 predicted, actual = counting_formula(frag, node)
-                assert predicted == actual
-                assert actual == brute_down_set_size(frag, node.a_mask,
-                                                     node.b_mask)
+                assert predicted == actual == len(brute)
                 assert parity_mub_check(frag, node)
 
 
@@ -369,12 +376,41 @@ def test_counting_and_parity_random(fm):
     frag, node = fm
     if node.a_mask.bit_count() > 6:
         return
+    brute = brute_down_set(frag, node.a_mask, node.b_mask)
+    ds = down_set_in_fiber(frag, node)
+    assert {n.a_mask for n in ds.nodes} == brute
     if not has_strictly_smaller(frag, node):
         return
     predicted, actual = counting_formula(frag, node)
-    assert predicted == actual == brute_down_set_size(frag, node.a_mask,
-                                                      node.b_mask)
+    assert predicted == actual == len(brute)
     assert parity_mub_check(frag, node)
+
+
+def test_bad_matches_its_definition():
+    """Each curve of ``_bad(C, D)`` shares a point outside D with every
+    curve of w = w_max(C, D); a member (A, B) with A a proper subset of C
+    and D inside B is dominated via w exactly when A avoids it; and the
+    down set of (C, D) is C plus those A with B = D."""
+    for frag in (make_f0(), make_f3()):
+        members = [(a, b) for a in range(1, 1 << frag.n1)
+                   for b in range(1, 1 << frag.n2)
+                   if str_member(frag, (a, b))]
+        for c, d in members:
+            bad, w = _bad(frag, c, d), w_max(frag, c, d)
+            assert bad == mask_of(
+                x for x in bits_of(c)
+                if any(not d >> p & 1 and leq(frag, h1(x), h2(p))
+                       and all(leq(frag, h1(y), h2(p)) for y in bits_of(w))
+                       for p in range(frag.n2))), (c, d)
+            below = {c}
+            for a, b in members:
+                if a & ~c or a == c or d & ~b:
+                    continue
+                dominated = dominates_via(frag, (c, d), (a, b), w)
+                assert dominated == (not a & bad), (a, b, c, d)
+                if dominated and b == d:
+                    below.add(a)
+            assert set(_down_set(frag, c, d)) == below, (c, d)
 
 
 def test_detect_I2_frozen(f0):
