@@ -20,21 +20,24 @@ from math import comb
 from operator import itemgetter
 
 from .core import IsoMap, PosetFragment, bits_of, mask_image, relabel
-from .structure import (StrNode, node_from_tuple, ray_node, str_leq,
+from .structure import (StrNode, _leq_members, node_from_tuple, ray_node,
                         str_member)
 
-MAX_DOMAIN_NODES = 1_000_000    # induce_str_iso refuses larger domains
-# Peak RSS a psi-only round trip adds per domain node: 299 MiB over the
-# imported package for ag(3,2) at k_cap 3 (740,151 nodes; Python 3.11 on
-# x86-64 Linux).
-ROUND_TRIP_BYTES_PER_NODE = 424
+# induce_str_iso refuses larger domains; a round trip at the cap needs
+# about 377 MiB over the imported package (ROUND_TRIP_BYTES_PER_NODE)
+MAX_DOMAIN_NODES = 1_000_000
+# Peak RSS a psi-only round trip adds per domain node: 279 MiB over the
+# imported package for ag(3,2) at k_cap 3 (740,151 nodes, the largest of
+# three fresh processes; Python 3.11 on x86-64 Linux).
+ROUND_TRIP_BYTES_PER_NODE = 395
 
 @dataclass(slots=True)
 class ReconstructionTrace:
-    """What each map entry rests on.  ``evidence`` holds (node, image)
-    StrNode pairs, each looked-up node once, and a ``rho1_table`` entry keeps
-    its ``evidence`` as positions into that list, an ``array('I')`` from
-    ``rho1_from_psi``.  ``to_json`` prints both as stored: the pairs once,
+    """What each map entry rests on.  ``evidence`` holds the looked-up
+    nodes, each once, and ``images`` their images at the same positions,
+    both the map's own StrNode objects; a ``rho1_table`` entry keeps its
+    ``evidence`` as positions into those lists, an ``array('I')`` from
+    ``rho1_from_psi``.  ``to_json`` prints both as stored: each pair once,
     as ``[node, image]`` like a map file's, and each curve's positions as a
     list."""
 
@@ -42,6 +45,7 @@ class ReconstructionTrace:
     rho1_table: dict = field(default_factory=dict)
     conflicts: list = field(default_factory=list)
     evidence: list = field(default_factory=list)
+    images: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {"version": 2,
@@ -49,7 +53,8 @@ class ReconstructionTrace:
                 "rho1": {str(k): {**v, "evidence": list(v["evidence"])}
                          for k, v in self.rho1_table.items()},
                 "evidence": [[node.to_json(), img.to_json()]
-                             for node, img in self.evidence],
+                             for node, img in zip(self.evidence,
+                                                  self.images)],
                 "conflicts": list(self.conflicts)}
 
 
@@ -156,6 +161,8 @@ class StrIso:
         domain pairs (i, j) that nest that way on either side, in index
         order, and the report stops after 21 mismatches.  With first
         ordinates of at most k curves that is about len(domain) * 2^k pairs.
+        The first pass has found every node and image a member pair, so the
+        order test does not check membership again.
         """
         problems = []
         inverse = {img: node for node, img in self.table.items()}
@@ -191,8 +198,8 @@ class StrIso:
             y_possible = fv.b_mask & ~fu.b_mask == 0
             if not (x_possible or y_possible):
                 continue
-            lx = x_possible and str_leq(fx, u, v)
-            ly = y_possible and str_leq(fy, fu, fv)
+            lx = x_possible and _leq_members(fx, u, v)
+            ly = y_possible and _leq_members(fy, fu, fv)
             if lx != ly:
                 problems.append(
                     f"order mismatch: {u} <= {v} is {lx} "
@@ -387,22 +394,23 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3
     The K-sets are the keys (K, {b}) of the singleton fibers with
     2 <= |K| <= size_cap, K inside fragment_x and mub(K) = {b}, point by
     point, by size, then lexicographic K.  Each is looked up and its image
-    tested once, and the table's own pair goes to ``trace.evidence``; a
-    curve takes the positions of the K-sets holding it, in that order, as
-    an ``array('I')``, and each (curve, K-set) pair is one probe.  The image
-    intersection always contains the true image, so a singleton answer is
-    correct whenever psi really is induced by a relabeling; a larger
-    intersection is recorded as an ambiguity, never guessed at.  Only
-    K-sets psi actually tabulates count as evidence; a curve that none
-    holds is a ``no-k-set`` conflict, as on a map file over a truncated
-    domain.  A size_cap below 2 admits no K-set and raises ValueError.
+    tested once, and the table's own key and image go to ``trace.evidence``
+    and ``trace.images``; a curve takes the positions of the K-sets holding
+    it, in that order, as an ``array('I')``, and each (curve, K-set) pair is
+    one probe.  The image intersection always contains the true image, so a
+    singleton answer is correct whenever psi really is induced by a
+    relabeling; a larger intersection is recorded as an ambiguity, never
+    guessed at.  Only K-sets psi actually tabulates count as evidence; a
+    curve that none holds is a ``no-k-set`` conflict, as on a map file over
+    a truncated domain.  A size_cap below 2 admits no K-set and raises
+    ValueError.
     """
     if size_cap < 2:
         raise ValueError(f"k_cap {size_cap} can never recover: K-sets have "
                          "at least two curves; use k_cap >= 2 or rays")
     trace = ReconstructionTrace()
     fx, fy = psi.fragment_x, psi.fragment_y
-    table, evidence = psi.table, trace.evidence
+    table, evidence, images = psi.table, trace.evidence, trace.images
     held = [array("I") for _ in range(fx.n1)]  # held[x]: evidence positions
     is_k_set = bytearray()                      # per position
     for b, keys in enumerate(_singleton_fibers(psi)):
@@ -413,7 +421,8 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3
                 held[low.bit_length() - 1].append(position)
                 rest ^= low
             img = table[key]
-            evidence.append((key, img))
+            evidence.append(key)
+            images.append(img)
             a, b_img, _ = img
             is_k_set.append(b_img.bit_count() == 1 and a.bit_count() >= 2
                             and fy.common_h2_above(a) == b_img)
@@ -425,12 +434,12 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3
         psi.probes += len(positions)
         inter = fy.all_h1_mask
         for i in positions:
-            node, img = evidence[i]
             if not is_k_set[i]:
                 trace.conflicts.append(
                     {"kind": "image-not-k-set", "x": fx.h1_labels[x],
-                     "node": node.to_json(), "image": img.to_json()})
-            inter &= img.a_mask
+                     "node": evidence[i].to_json(),
+                     "image": images[i].to_json()})
+            inter &= images[i].a_mask
         entry = {"intersection": list(bits_of(inter)), "evidence": positions}
         if inter.bit_count() == 1:
             rho1[x] = inter.bit_length() - 1
@@ -464,7 +473,8 @@ def rho1_from_rays(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
         rho1[x] = img.ray_of
         trace.rho1_table[x] = {"image": img.ray_of,
                                "evidence": [len(trace.evidence)]}
-        trace.evidence.append((ray, img))
+        trace.evidence.append(ray)
+        trace.images.append(img)
     return rho1, trace
 
 
@@ -482,7 +492,8 @@ def build_rho(phi: StrIso, size_cap: int = 3, prefer_rays: bool = True
                             == set(range(fx.n1)))
     rho1, t1 = (rho1_from_rays(phi) if rays
                 else rho1_from_psi(phi, size_cap))
-    trace.rho1_table, trace.evidence = t1.rho1_table, t1.evidence
+    trace.rho1_table = t1.rho1_table
+    trace.evidence, trace.images = t1.evidence, t1.images
     trace.conflicts.extend(t1.conflicts)
     if trace.conflicts:
         raise ReconstructionError("conflicting evidence; see trace", trace)

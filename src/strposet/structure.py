@@ -176,9 +176,18 @@ def str_leq(fragment: PosetFragment, lower: NodeLike, upper: NodeLike) -> bool:
     ended), and since domination needs a strictly larger first ordinate,
     neither is below the other.
     """
-    a, b = require_member(fragment, lower)
-    c, d = require_member(fragment, upper)
-    if (a, b) == (c, d):
+    require_member(fragment, lower)
+    require_member(fragment, upper)
+    return _leq_members(fragment, lower, upper)
+
+
+def _leq_members(fragment: PosetFragment, lower: NodeLike,
+                 upper: NodeLike) -> bool:
+    """``str_leq`` on nodes already known to be member pairs: equal masks
+    take ``_same_node``, all other pairs ``_leq_masks``."""
+    a, b = _masks(lower)
+    c, d = _masks(upper)
+    if a == c and b == d:
         return _same_node(lower, upper)
     return _leq_masks(fragment, a, b, c, d)
 

@@ -20,8 +20,7 @@ from strposet import (DomainSpec, FactorizationReport, FiberView, IsoMap,
                       PosetFragment, ReconstructionError,
                       ReconstructionTrace, StrIso, StrNode, bits_of,
                       find_j3_witness, finite_node, mask_of, ray_node,
-                      rho1_from_psi, str_leq, str_leq_bruteforce, str_member,
-                      w_max)
+                      rho1_from_psi, str_leq_bruteforce, str_member, w_max)
 from strposet.structure import ENUM_CAP, NodeLike, require_member
 
 
@@ -575,7 +574,8 @@ def unmap(phi: StrIso, node: StrNode) -> StrNode:
 
 def validate_all_pairs(phi, order_check: bool = True) -> list[str]:
     """``StrIso.validate`` as it was before the nesting index: the same audit
-    with the order compared on every ordered pair of distinct domain nodes.
+    with the order compared on every ordered pair of distinct domain nodes
+    by ``str_leq_bruteforce``, so it shares no order code with the library.
     The library version must return the same list in the same order."""
     problems = []
     codomain = list(phi.table.values())
@@ -623,8 +623,8 @@ def validate_all_pairs(phi, order_check: bool = True) -> list[str]:
             y_possible = fv.b_mask & ~fu.b_mask == 0
             if not (x_possible or y_possible):
                 continue
-            lx = x_possible and str_leq(fx, u, v)
-            ly = y_possible and str_leq(fy, fu, fv)
+            lx = x_possible and str_leq_bruteforce(fx, u, v)
+            ly = y_possible and str_leq_bruteforce(fy, fu, fv)
             if lx != ly:
                 problems.append(
                     f"order mismatch: {u} <= {v} is {lx} "
@@ -763,11 +763,12 @@ def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3
     """Curve map by intersecting the first ordinates of K-set images.
 
     K-sets are searched per (curve, point) up to ``size_cap`` itself, and
-    each (curve, K-set) pair is one ``psi.map`` call whose pair is appended
-    to ``trace.evidence``, so a K-set cited by several curves is listed once
-    per curve.  The image intersection always contains the true image, so a singleton
-    answer is correct whenever psi really is induced by a relabeling; a
-    larger intersection is recorded as an ambiguity, never guessed at.
+    each (curve, K-set) pair is one ``psi.map`` call whose node and image
+    are appended to ``trace.evidence`` and ``trace.images``, so a K-set
+    cited by several curves is listed once per curve.  The image
+    intersection always contains the true image, so a singleton answer is
+    correct whenever psi really is induced by a relabeling; a larger
+    intersection is recorded as an ambiguity, never guessed at.
     Only K-sets psi actually tabulates count as evidence; a curve that none
     holds, as on a map file over a truncated domain, is a conflict.
     """
@@ -784,7 +785,8 @@ def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3
         for node in nodes:
             img = psi.map(node)
             evidence.append(len(trace.evidence))
-            trace.evidence.append((node, img))
+            trace.evidence.append(node)
+            trace.images.append(img)
             if (img.b_mask.bit_count() != 1
                     or img.a_mask.bit_count() < 2
                     or fy.common_h2_above(img.a_mask) != img.b_mask):

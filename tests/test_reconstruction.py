@@ -77,7 +77,7 @@ def test_induce_refuses_oversized_domains():
     with pytest.raises(ValueError, match=f"14262660 nodes, over the cap of "
                                          f"{MAX_DOMAIN_NODES} "
                                          r"\(a round trip would need about "
-                                         r"5767 MiB\); lower k_cap"):
+                                         r"5372 MiB\); lower k_cap"):
         induce_str_iso(rho, DomainSpec(k_cap=4))
     with pytest.raises(ValueError, match="14262660 nodes"):
         round_trip(ag32, 1, k_cap=4)
@@ -378,7 +378,7 @@ def test_rho1_from_rays(f3):
 def test_rho1_from_rays_requires_rays(f3):
     psi = induce_str_iso(identity_iso(f3))
     rho1, trace = rho1_from_rays(psi)
-    assert rho1 == {} and trace.evidence == []
+    assert rho1 == {} and trace.evidence == trace.images == []
     assert trace.conflicts == [{"kind": "ray-not-in-domain", "x": label}
                                for label in f3.h1_labels]
 
@@ -446,13 +446,15 @@ def test_build_rho_keeps_the_point_map_when_rho1_raises(planted3, corrupt):
     assert bool(t2.conflicts) == corrupt
     assert trace.conflicts == t2.conflicts + t1.conflicts
     assert trace.rho1_table == t1.rho1_table
-    assert trace.evidence == t1.evidence
+    assert trace.evidence == t1.evidence and trace.images == t1.images
 
 
 def test_build_rho_allocates_a_small_share_of_the_table():
     # both stages walk the table's own keys and cite its own node objects,
-    # so the affine job's map (28,440 nodes) costs build_rho a third of the
-    # table at most; traced bytes, unlike RSS, do not depend on the host
+    # and the trace keeps a K-set as two list slots, no tuple, so the affine
+    # job's map (28,440 nodes) costs build_rho an eighth of the table at
+    # most, and what it keeps is under 40 bytes per K-set; traced bytes,
+    # unlike RSS, do not depend on the host
     rho = relabel(affine_plane_fragment(3, 2), 1)[1]
     tracemalloc.start()
     try:
@@ -461,11 +463,14 @@ def test_build_rho_allocates_a_small_share_of_the_table():
         table = tracemalloc.get_traced_memory()[0] - before
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        assert build_rho(phi, 2, False)[0] == rho
-        extra = tracemalloc.get_traced_memory()[1] - before
+        iso, trace = build_rho(phi, 2, False)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert extra < table / 3, (extra, table)
+    assert iso == rho
+    extra, kept = peak - before, kept - before
+    assert extra < table / 8, (extra, table)
+    assert kept < 40 * len(trace.evidence), (kept, len(trace.evidence))
 
 
 def test_verify_factorization_clean(f3):
