@@ -5,19 +5,22 @@ fixed singleton second ordinate must land in a single target fiber (giving
 the point map), ray nodes map to ray nodes (giving the curve map directly),
 and without rays each curve is pinned down by intersecting the first
 ordinates of the images of its K-sets, the nodes (K, {b}) with x in K and
-mub(K) = {b}.  Every derived entry cites the nodes that forced it, and
-each stage records every inconsistency or gap as a trace conflict instead
-of stopping or producing a wrong map; only ``build_rho`` raises.
+mub(K) = {b}, smallest first, until one curve is left.  Every derived entry
+cites the nodes that forced it, and each stage records every inconsistency
+or gap as a trace conflict instead of stopping or producing a wrong map;
+only ``build_rho`` raises.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
+from itertools import combinations, groupby, islice, tee
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, le
+from typing import Iterable
 
 from .core import IsoMap, PosetFragment, bits_of, mask_image, relabel
 from .structure import (StrNode, _leq_members, node_from_tuple, ray_node,
@@ -289,23 +292,27 @@ def _singleton_fibers(phi: StrIso) -> list[list[StrNode]]:
     return fibers
 
 
-def rho2_from_phi(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
+def rho2_from_phi(phi: StrIso, *, fibers: list[list[StrNode]] | None = None
+                  ) -> tuple[dict[int, int], ReconstructionTrace]:
     """Point map from where singleton-fiber nodes land.
 
     Every domain node over {m} must map into one singleton fiber {n};
     disagreements, non-singleton images and empty fibers become conflicts.
     Each fiber's keys, as ``_singleton_fibers`` lists them, are looked up in
-    the table, and each fiber adds its size to the probes.  An image over
-    one point of fragment_y is a member iff its curves meet those below the
-    point; any other image takes ``str_member``, which raises ValueError on
-    masks outside fragment_y.
+    the table, and each fiber adds its size to the probes; ``fibers`` is
+    that list when the caller has it.  An image over one point of
+    fragment_y is a member iff its curves meet those below the point; any
+    other image takes ``str_member``, which raises ValueError on masks
+    outside fragment_y.
     """
     trace = ReconstructionTrace()
     fx, fy = phi.fragment_x, phi.fragment_y
     table = phi.table
     h1_top, h2_top = fy.all_h1_mask, fy.all_h2_mask
     rho2: dict[int, int] = {}
-    for m, keys in enumerate(_singleton_fibers(phi)):
+    if fibers is None:
+        fibers = _singleton_fibers(phi)
+    for m, keys in enumerate(fibers):
         if not keys:
             trace.conflicts.append({"kind": "empty-fiber",
                                     "m": fx.h2_labels[m]})
@@ -350,23 +357,41 @@ def rho2_from_phi(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
     return rho2, trace
 
 
-def _fiber_k_sets(fx: PosetFragment, b: int, keys: list[StrNode],
-                  size_cap: int) -> list[StrNode]:
-    """The K-sets among point b's singleton-fiber keys: the (K, {b}) with
-    2 <= |K| <= size_cap, K inside fx and common upper set {b}, by size and
-    then lexicographic K, the order of ``unique_point_sets``.
+def _k_size(node: StrNode) -> int:
+    return node[0].bit_count()
+
+
+def _size_starts(keys: list[StrNode], top: int
+                 ) -> tuple[list[StrNode], list[int]]:
+    """A fiber's keys ascending by first-ordinate size, and where each size
+    from 2 to top + 1 starts among them.  An induced table lists a fiber
+    that way already, so its keys are kept as they are; a fiber out of that
+    order, as a map file's can be, is sorted, stably.  The order is checked
+    in one pass that runs in C and keeps no list of sizes, and each start
+    is a binary search, so a size that no curve needs is never scanned."""
+    sizes, later = tee(map(int.bit_count, map(itemgetter(0), keys)))
+    next(later, None)
+    if not all(map(le, sizes, later)):
+        keys = sorted(keys, key=_k_size)
+    return keys, [bisect_left(keys, s, key=_k_size)
+                  for s in range(2, top + 2)]
+
+
+def _fiber_k_sets(fx: PosetFragment, b: int, keys: Iterable[StrNode],
+                  unpinned: int) -> list[StrNode]:
+    """The K-sets among keys of one size in point b's singleton fiber that
+    hold a curve of ``unpinned``: the (K, {b}) with K inside fx and common
+    upper set {b}, in lexicographic K, the order of ``unique_point_sets``.
 
     An induced table lists them in that order, and a K mostly shares all
     but its last curve with the key before it, so the common upper set of
-    that prefix is carried over.  A fiber out of that order, as a map
-    file's can be, is sorted."""
+    that prefix is carried over.  Keys out of that order are sorted."""
     b_mask, outside, up = 1 << b, ~fx.all_h1_mask, fx.up
-    k_sets, in_order, prev, prev_size = [], True, 0, 0
+    k_sets, in_order, prev = [], True, 0
     prefix, prefix_up = -1, 0
     for key in keys:
         a = key[0]
-        size = a.bit_count()
-        if not 2 <= size <= size_cap or a & outside:
+        if a & outside or not a & unpinned:
             continue
         last = a.bit_length() - 1
         if a ^ 1 << last != prefix:
@@ -377,33 +402,41 @@ def _fiber_k_sets(fx: PosetFragment, b: int, keys: list[StrNode],
         # of two K of one size, the one holding the lowest curve that is in
         # just one of them comes first
         diff = a ^ prev
-        if size < prev_size or size == prev_size and not diff & -diff & prev:
+        if prev and not diff & -diff & prev:
             in_order = False
         k_sets.append(key)
-        prev, prev_size = a, size
+        prev = a
     if in_order:
         return k_sets
-    return sorted(k_sets, key=lambda node: (node[0].bit_count(),
-                                            list(bits_of(node[0]))))
+    return sorted(k_sets, key=lambda node: list(bits_of(node[0])))
 
 
-def rho1_from_psi(psi: StrIso, size_cap: int = 3
+def rho1_from_psi(psi: StrIso, size_cap: int = 3, *,
+                  fibers: list[list[StrNode]] | None = None
                   ) -> tuple[dict[int, int], ReconstructionTrace]:
     """Curve map by intersecting the first ordinates of K-set images.
 
     The K-sets are the keys (K, {b}) of the singleton fibers with
-    2 <= |K| <= size_cap, K inside fragment_x and mub(K) = {b}, point by
-    point, by size, then lexicographic K.  Each is looked up and its image
-    tested once, and the table's own key and image go to ``trace.evidence``
-    and ``trace.images``; a curve takes the positions of the K-sets holding
-    it, in that order, as an ``array('I')``, and each (curve, K-set) pair is
-    one probe.  The image intersection always contains the true image, so a
-    singleton answer is correct whenever psi really is induced by a
-    relabeling; a larger intersection is recorded as an ambiguity, never
-    guessed at.  Only K-sets psi actually tabulates count as evidence; a
-    curve that none holds is a ``no-k-set`` conflict, as on a map file over
-    a truncated domain.  A size_cap below 2 admits no K-set and raises
-    ValueError.
+    2 <= |K| <= size_cap, K inside fragment_x and mub(K) = {b}.  They are
+    taken size by size across all points, pairs first, then by point and
+    lexicographic K.  A curve is pinned once a K-set holds it and its image
+    intersection is a single curve at the end of a size; it cites no K-set
+    of a larger size.  A K-set is looked up only if it holds an unpinned
+    curve: its image is tested once, the table's own key and image go to
+    ``trace.evidence`` and ``trace.images``, and only its unpinned curves
+    cite it.  The pass stops at size_cap or when every curve is pinned, so
+    each curve's evidence depends on that curve alone.  A curve takes the
+    positions it cites, in order, as an ``array('I')``, and each cited
+    (curve, K-set) pair is one probe.
+
+    The image intersection always contains the true image, so a singleton
+    answer is correct whenever psi really is induced by a relabeling, and a
+    larger K-set cannot change it; a larger intersection is recorded as an
+    ambiguity, never guessed at.  Only K-sets psi actually tabulates count
+    as evidence; a curve that none holds is a ``no-k-set`` conflict, as on
+    a map file over a truncated domain.  ``fibers`` is
+    ``_singleton_fibers(psi)`` when the caller has it.  A size_cap below 2
+    admits no K-set and raises ValueError.
     """
     if size_cap < 2:
         raise ValueError(f"k_cap {size_cap} can never recover: K-sets have "
@@ -412,43 +445,58 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3
     fx, fy = psi.fragment_x, psi.fragment_y
     table, evidence, images = psi.table, trace.evidence, trace.images
     held = [array("I") for _ in range(fx.n1)]  # held[x]: evidence positions
+    inter = [fy.all_h1_mask] * fx.n1           # inter[x]: image intersection
     is_k_set = bytearray()                      # per position
-    for b, keys in enumerate(_singleton_fibers(psi)):
-        for key in _fiber_k_sets(fx, b, keys, size_cap):
-            position, rest = len(evidence), key[0]
-            while rest:
-                low = rest & -rest
-                held[low.bit_length() - 1].append(position)
-                rest ^= low
-            img = table[key]
-            evidence.append(key)
-            images.append(img)
-            a, b_img, _ = img
-            is_k_set.append(b_img.bit_count() == 1 and a.bit_count() >= 2
-                            and fy.common_h2_above(a) == b_img)
+    if fibers is None:
+        fibers = _singleton_fibers(psi)
+    top = min(size_cap, fx.n1)
+    runs = [_size_starts(keys, top) for keys in fibers]
+    unpinned = fx.all_h1_mask
+    for size in range(2, top + 1):
+        for b, (keys, starts) in enumerate(runs):
+            if not fx.down[b] & unpinned:
+                continue
+            run = islice(keys, starts[size - 2], starts[size - 1])
+            for key in _fiber_k_sets(fx, b, run, unpinned):
+                position, cited = len(evidence), key[0] & unpinned
+                img = table[key]
+                evidence.append(key)
+                images.append(img)
+                a, b_img, _ = img
+                is_k_set.append(b_img.bit_count() == 1 and a.bit_count() >= 2
+                                and fy.common_h2_above(a) == b_img)
+                while cited:
+                    low = cited & -cited
+                    x = low.bit_length() - 1
+                    held[x].append(position)
+                    inter[x] &= a
+                    cited ^= low
+        for x in bits_of(unpinned):
+            if held[x] and inter[x].bit_count() == 1:
+                unpinned ^= 1 << x
+        if not unpinned:
+            break
     rho1: dict[int, int] = {}
-    for x, positions in enumerate(held):
+    for x, (positions, meet) in enumerate(zip(held, inter)):
         if not positions:
             trace.conflicts.append({"kind": "no-k-set", "x": fx.h1_labels[x]})
             continue
         psi.probes += len(positions)
-        inter = fy.all_h1_mask
         for i in positions:
             if not is_k_set[i]:
                 trace.conflicts.append(
                     {"kind": "image-not-k-set", "x": fx.h1_labels[x],
                      "node": evidence[i].to_json(),
                      "image": images[i].to_json()})
-            inter &= images[i].a_mask
-        entry = {"intersection": list(bits_of(inter)), "evidence": positions}
-        if inter.bit_count() == 1:
-            rho1[x] = inter.bit_length() - 1
+        entry = {"intersection": list(bits_of(meet)), "evidence": positions}
+        if meet.bit_count() == 1:
+            rho1[x] = meet.bit_length() - 1
             entry["image"] = rho1[x]
         else:
             entry["image"] = None
             trace.conflicts.append(
                 {"kind": "rho1-ambiguous", "x": fx.h1_labels[x],
-                 "intersection": [fy.h1_labels[i] for i in bits_of(inter)]})
+                 "intersection": [fy.h1_labels[i] for i in bits_of(meet)]})
         trace.rho1_table[x] = entry
     return rho1, trace
 
@@ -484,14 +532,16 @@ def build_rho(phi: StrIso, size_cap: int = 3, prefer_rays: bool = True
 
     The only raise of the pipeline: failure never yields a partial or
     guessed map, and the conflicts of both stages, or an incidence
-    violation of the assembled map, surface in the merged trace.
+    violation of the assembled map, surface in the merged trace.  The
+    table is walked for its singleton fibers once, for both stages.
     """
-    rho2, trace = rho2_from_phi(phi)
+    fibers = _singleton_fibers(phi)
+    rho2, trace = rho2_from_phi(phi, fibers=fibers)
     fx = phi.fragment_x
     rays = prefer_rays and ({ray for _, _, ray in phi.table} - {None}
                             == set(range(fx.n1)))
     rho1, t1 = (rho1_from_rays(phi) if rays
-                else rho1_from_psi(phi, size_cap))
+                else rho1_from_psi(phi, size_cap, fibers=fibers))
     trace.rho1_table = t1.rho1_table
     trace.evidence, trace.images = t1.evidence, t1.images
     trace.conflicts.extend(t1.conflicts)

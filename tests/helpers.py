@@ -12,7 +12,7 @@ paper constructions that no verb runs, such as ``dominates_via``,
 
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import (combinations, combinations_with_replacement,
+from itertools import (combinations, combinations_with_replacement, groupby,
                        permutations)
 from typing import Iterable, Optional, Sequence
 
@@ -696,14 +696,14 @@ def k_sets(fragment: PosetFragment, x: int, size_cap: int = 3
                                                 size_cap, base=1 << x)]
 
 
-def rho2_from_phi_by_node(phi: StrIso
+def rho2_from_phi_by_node(phi: StrIso, *, fibers=None
                           ) -> tuple[dict[int, int], ReconstructionTrace]:
     """Point map from where singleton-fiber nodes land.
 
     Every domain node over {m} must map into one singleton fiber {n};
     disagreements, non-singleton images and empty fibers become conflicts.
     Nodes are grouped by fiber from the domain list, then each is mapped
-    (one probe) as its fiber is read.
+    (one probe) as its fiber is read.  ``fibers`` is ignored.
     """
     trace = ReconstructionTrace()
     fx, fy = phi.fragment_x, phi.fragment_y
@@ -758,42 +758,48 @@ def rho2_from_phi_by_node(phi: StrIso
     return rho2, trace
 
 
-def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3
+def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3, *, fibers=None
                            ) -> tuple[dict[int, int], ReconstructionTrace]:
     """Curve map by intersecting the first ordinates of K-set images.
 
-    K-sets are searched per (curve, point) up to ``size_cap`` itself, and
-    each (curve, K-set) pair is one ``psi.map`` call whose node and image
-    are appended to ``trace.evidence`` and ``trace.images``, so a K-set
-    cited by several curves is listed once per curve.  The image
+    Each curve's literal K-sets up to ``size_cap`` that psi tabulates are
+    taken by size, then point, then lexicographic K, and the curve stops
+    after the first size at whose end its image intersection is a single
+    curve.  Each (curve, K-set) pair is one ``psi.map`` call whose node and
+    image are appended to ``trace.evidence`` and ``trace.images``, so a
+    K-set cited by several curves is listed once per curve.  The image
     intersection always contains the true image, so a singleton answer is
     correct whenever psi really is induced by a relabeling; a larger
-    intersection is recorded as an ambiguity, never guessed at.
-    Only K-sets psi actually tabulates count as evidence; a curve that none
-    holds, as on a map file over a truncated domain, is a conflict.
+    intersection is recorded as an ambiguity, never guessed at.  A curve
+    that no tabulated K-set holds, as on a map file over a truncated
+    domain, is a conflict.  ``fibers`` is ignored.
     """
     trace = ReconstructionTrace()
     fx, fy = psi.fragment_x, psi.fragment_y
     rho1: dict[int, int] = {}
     for x in range(fx.n1):
-        nodes = [n for n in k_sets(fx, x, size_cap) if n in psi.table]
+        nodes = sorted((n for n in k_sets(fx, x, size_cap) if n in psi.table),
+                       key=lambda n: n.a_mask.bit_count())
         if not nodes:
             trace.conflicts.append({"kind": "no-k-set", "x": fx.h1_labels[x]})
             continue
         evidence = []
         inter = fy.all_h1_mask
-        for node in nodes:
-            img = psi.map(node)
-            evidence.append(len(trace.evidence))
-            trace.evidence.append(node)
-            trace.images.append(img)
-            if (img.b_mask.bit_count() != 1
-                    or img.a_mask.bit_count() < 2
-                    or fy.common_h2_above(img.a_mask) != img.b_mask):
-                trace.conflicts.append(
-                    {"kind": "image-not-k-set", "x": fx.h1_labels[x],
-                     "node": node.to_json(), "image": img.to_json()})
-            inter &= img.a_mask
+        for _, run in groupby(nodes, key=lambda n: n.a_mask.bit_count()):
+            for node in run:
+                img = psi.map(node)
+                evidence.append(len(trace.evidence))
+                trace.evidence.append(node)
+                trace.images.append(img)
+                if (img.b_mask.bit_count() != 1
+                        or img.a_mask.bit_count() < 2
+                        or fy.common_h2_above(img.a_mask) != img.b_mask):
+                    trace.conflicts.append(
+                        {"kind": "image-not-k-set", "x": fx.h1_labels[x],
+                         "node": node.to_json(), "image": img.to_json()})
+                inter &= img.a_mask
+            if inter.bit_count() == 1:
+                break
         entry = {"intersection": list(bits_of(inter)), "evidence": evidence}
         if inter.bit_count() == 1:
             rho1[x] = inter.bit_length() - 1

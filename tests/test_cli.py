@@ -356,12 +356,12 @@ def test_reconstruct_output_bytes_frozen(capsys, files):
                          "--map", files["map"])
     assert code == 0 and err == ""
     assert digest(json_text(spell_trace(json.loads(out)))) == (
-        "cca7ed8dc41f9405973ce175761c55880df9df1ebb4690e908d439c7047674d1")
+        "93e9b33b367d2b9549c03811c938860310ea66a1aac1cca65bbeb024490ffd32")
 
 
 @pytest.mark.parametrize("map_file,rc,sha256", [
     ("map_bad", 1,      # conflicts, the error and its trace
-     "dfd4f8da005fe35f82ac1819fdf05d73262379d0d83c3e0e0e37e3058d9fe268"),
+     "71211f8609a4b843be5ea1ab575db1839871a8d3d4cbbe2d3a95d3a84be92cf3"),
     ("map_rays", 0,     # the curve map read off the rays
      "655305ef43caf5c62857652084b7deeb631946301d4df38c357d56a032cd22fc"),
 ])
@@ -375,9 +375,9 @@ def test_reconstruct_conflict_and_ray_bytes_frozen(capsys, files, map_file,
 
 @pytest.mark.parametrize("map_file,rc,sha256", [
     ("map", 0,
-     "cb2cc5121837f2e49ba04894394a90fd1619e88472f2499bd33c27396379609b"),
+     "bf8e9ae6d61b014923b6ed9ea4fcdbfbc179765ca1d26b781443cade04f30c64"),
     ("map_bad", 1,
-     "3b1f81d903494a47b77c57e7f55cdecc939ac5dc053c59a38bc7e4fb058e00a0"),
+     "3fbedcee8da6794eecc3db639cb6d589ca6255d4161b846a0c7fad6e8cb1ed6b"),
     ("map_rays", 0,
      "6093f6c2fdbe8cc2ac7f581bc0faf60432b68b6c6733095d7097daf60cf8b906"),
 ])
@@ -388,6 +388,23 @@ def test_reconstruct_report_bytes_frozen(capsys, files, map_file, rc,
                          "--map", files[map_file])
     assert code == rc and err == ""
     assert digest(out) == sha256
+
+
+def test_k_set_stop_rule_moves_only_traces_and_probes(capsys, files):
+    # digests taken while every K-set up to k_cap was cited: a curve that
+    # stops at its smallest pinning K-sets changes the trace and the probe
+    # count, and no other byte of a recovered run's report
+    code, out, _ = run(capsys, "reconstruct", files["p3"], files["p3y"],
+                       "--map", files["map"])
+    report = json.loads(out)
+    del report["trace"], report["probes"]
+    assert code == 0 and digest(json_text(report)) == (
+        "b7534808f8c9ada45d08e0de8d147946b3a61e665e2cd681effd1aa2b564f14e")
+    code, out, _ = run(capsys, "roundtrip", files["p3"], "--seed", "3")
+    report = json.loads(out)
+    del report["probes"]
+    assert code == 0 and digest(json_text(report)) == (
+        "9d042af7fa141c4653701130dc7083d0565ab3a86b9ed1d448c2a730a1abb35f")
 
 
 @pytest.mark.parametrize("map_file", ["map", "map_bad", "map_rays"])
@@ -583,11 +600,11 @@ def earlier_run(fixture: str, report: dict, cut: bool) -> dict:
 # run that --allow-weak-battery gave.
 @pytest.mark.parametrize("fixture,flags,rc,sha256", [
     ("p3", ["--seed", "3"], 0,
-     "6dd25ca389c529671d246314b8764cf57706ad6febeb86a1ba3f1272e3ba95d7"),
+     "6a4dd5990e513846e23890b2a12e897274968446f83ba695fef483bf67fa2c6d"),
     ("p3", ["--corrupt"], 1,
-     "f5b1bcd2931fb4fc7eb1baabf120f41262084c31b053051e364e2a191818e38b"),
+     "824ee605eebe4c82856c3d6a400dccef163b2d0a828fb8add4503f32fb93d1bb"),
     ("f0", [], 1,
-     "8a35f8a1e39b8fa3aad60aaad7ffc96273d575c3f45cde77cada405177a3648f"),
+     "f1075634f5e73c6779301699fdfb3e4ad8bfb3013e536db66f36982adc5e61f9"),
 ])
 def test_roundtrip_output_bytes_frozen(capsys, files, fixture, flags, rc,
                                        sha256):
@@ -599,9 +616,9 @@ def test_roundtrip_output_bytes_frozen(capsys, files, fixture, flags, rc,
 
 @pytest.mark.parametrize("flags,rc,sha256", [
     (["--seed", "3"], 0,
-     "96449f398e2f5bd37ef726fa1cdd2a3b745fba5cdeda4f7cf70387688869bbc9"),
+     "b9018ee357b427edf664528d6a0b7649627a70659b04d0965f065ea8661c14ee"),
     (["--corrupt"], 1,
-     "c70ff4df31c4057d5e6bd5bcfa59d3ab181ae0dd505eac024ec0cfee75ec1f76"),
+     "99cee55889de45192bf032af8806dce9528cd6ff5e561476cf95191b90b7c5a9"),
 ])
 def test_roundtrip_run_bytes_frozen(capsys, files, flags, rc, sha256):
     # a run as the verb printed it with the error and the whole battery
@@ -613,9 +630,9 @@ def test_roundtrip_run_bytes_frozen(capsys, files, flags, rc, sha256):
 
 @pytest.mark.parametrize("flags,rc,sha256", [
     (["--seed", "3"], 0,
-     "3f3287cd3d8b8af17957a5fe945b2b502d9e5f6dd77398e5e5ec6094905693ab"),
+     "c1c2bb766e7e1074f36b27c9670553bd29072660a0559dc130e3ad635bb8cda3"),
     (["--corrupt"], 1,
-     "a65b788ce8254b3419ba67665a212c4cd0ba071b475dfb43b73ed80ae047362c"),
+     "381aa00758cec0c6992520755208890865c198c7e28341b238a074f94897ed35"),
 ])
 def test_roundtrip_report_bytes_frozen(capsys, files, flags, rc, sha256):
     # the report as printed: the round-trip result alone

@@ -615,6 +615,64 @@ def test_size_cap_beyond_the_domain_changes_nothing(frag, seed, k_cap, cap):
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
+@st.composite
+def sparse_fragments(draw):
+    """Fragments whose curves lie below one to three points each; in about
+    two draws of five the two-curve K-sets pin every curve."""
+    n1, n2 = draw(st.integers(3, 7)), draw(st.integers(2, 5))
+    ups = [draw(st.lists(st.integers(0, n2 - 1), min_size=1,
+                         max_size=min(3, n2), unique=True))
+           for _ in range(n1)]
+    return PosetFragment(n1, n2, [(x, m) for x, up in enumerate(ups)
+                                  for m in up])
+
+
+@given(sparse_fragments(), st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_pairs_that_pin_every_curve_end_the_pass(frag, seed, corrupt):
+    # once every curve's image intersection is a single curve after the
+    # two-curve K-sets, no larger K-set is looked up or cited: size_cap 3
+    # gives size_cap 2's trace bytes and probes, on damaged maps as well
+    psi = induce_str_iso(relabel(frag, seed)[1])
+    if corrupt:
+        try:
+            psi = corrupt_str_iso(psi, seed)
+        except ValueError:      # one fiber: nothing to swap
+            assume(False)
+
+    def outcome(size_cap):
+        fresh = StrIso(frag, psi.fragment_y, psi.table)
+        rho1, trace = rho1_from_psi(fresh, size_cap)
+        return rho1, json_text(trace.to_json()), fresh.probes
+
+    pairs = outcome(2)
+    assume(len(pairs[0]) == frag.n1)
+    assert outcome(3) == pairs
+
+
+def test_only_an_unpinned_curve_cites_larger_k_sets():
+    # curves x0 < m0; x1 < m0, m1; x2 < m0, m2; x3 < every point, so every
+    # K-set lies over m0.  The pairs pin x0, x1 and x2, but the one pair
+    # holding x3 is (x0,x3|m0), so x3 alone goes on to the three-curve
+    # K-sets, and (x0,x1,x2|m0), which does not hold it, is skipped
+    frag = PosetFragment(4, 3, [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2),
+                                (3, 0), (3, 1), (3, 2)])
+    rho = relabel(frag, 3)[1]
+    psi = induce_str_iso(rho)
+    rho1, trace = rho1_from_psi(psi, 3)
+    assert rho1 == dict(enumerate(rho.h1_map)) and not trace.conflicts
+    triples = [node for node in trace.evidence
+               if node.a_mask.bit_count() == 3]
+    assert triples == [node for node in k_sets(frag, 3, 3)
+                       if node.a_mask.bit_count() == 3]
+    assert finite_node(0b0111, 0b001) in psi.table
+    for x in range(3):
+        cited = [trace.evidence[i] for i in trace.rho1_table[x]["evidence"]]
+        assert cited and all(n.a_mask.bit_count() == 2 for n in cited)
+    assert psi.probes == sum(len(entry["evidence"])
+                             for entry in trace.rho1_table.values())
+
+
 CENSUS = census_fragments(5, 3)
 
 
