@@ -450,10 +450,10 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3, *,
     if fibers is None:
         fibers = _singleton_fibers(psi)
     top = min(size_cap, fx.n1)
-    runs = [_size_starts(keys, top) for keys in fibers]
+    sized = [_size_starts(keys, top) for keys in fibers]
     unpinned = fx.all_h1_mask
     for size in range(2, top + 1):
-        for b, (keys, starts) in enumerate(runs):
+        for b, (keys, starts) in enumerate(sized):
             if not fx.down[b] & unpinned:
                 continue
             run = islice(keys, starts[size - 2], starts[size - 1])
