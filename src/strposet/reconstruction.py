@@ -294,21 +294,19 @@ def _singleton_fibers(phi: StrIso) -> list[list[StrNode]]:
 
 def rho2_from_phi(phi: StrIso, *, fibers: list[list[StrNode]] | None = None
                   ) -> tuple[dict[int, int], ReconstructionTrace]:
-    """Point map from where singleton-fiber nodes land.
+    """Point map from one witness per singleton fiber.
 
-    Every domain node over {m} must map into one singleton fiber {n};
-    disagreements, non-singleton images and empty fibers become conflicts.
-    Each fiber's keys, as ``_singleton_fibers`` lists them, are looked up in
-    the table, and each fiber adds its size to the probes; ``fibers`` is
-    that list when the caller has it.  An image over one point of
-    fragment_y is a member iff its curves meet those below the point; any
-    other image takes ``str_member``, which raises ValueError on masks
-    outside fragment_y.
+    Every node over {m} maps into the fiber of one point, rho2(m), so the
+    first key of each fiber, as ``_singleton_fibers`` lists them, is looked
+    up (one probe) and names it: its image must be a member pair of
+    fragment_y over a single point.  An image that is not, an empty fiber
+    and a point map that is no bijection become conflicts.  The fiber's
+    other nodes are not read; whether each node lands where the assembled
+    map says is ``verify_factorization``'s audit.  ``fibers`` is that list
+    when the caller has it.
     """
     trace = ReconstructionTrace()
     fx, fy = phi.fragment_x, phi.fragment_y
-    table = phi.table
-    h1_top, h2_top = fy.all_h1_mask, fy.all_h2_mask
     rho2: dict[int, int] = {}
     if fibers is None:
         fibers = _singleton_fibers(phi)
@@ -317,38 +315,20 @@ def rho2_from_phi(phi: StrIso, *, fibers: list[list[StrNode]] | None = None
             trace.conflicts.append({"kind": "empty-fiber",
                                     "m": fx.h2_labels[m]})
             continue
-        phi.probes += len(keys)
-        target = None
-        witness = None
-        for node in keys:
-            img = table[node]
-            a, b, _ = img
-            if 0 <= a <= h1_top and 0 < b <= h2_top and not b & (b - 1):
-                member = bool(a & fy.down[b.bit_length() - 1])
-            else:
-                member = str_member(fy, (a, b))
-            if not member:
-                trace.conflicts.append(
-                    {"kind": "image-not-member", "m": fx.h2_labels[m],
-                     "node": node.to_json()})
-                continue
-            if b.bit_count() != 1:
-                trace.conflicts.append(
-                    {"kind": "image-fiber-not-singleton",
-                     "m": fx.h2_labels[m], "node": node.to_json(),
-                     "image": img.to_json()})
-                continue
-            n = b.bit_length() - 1
-            if target is None:
-                target, witness = n, node
-            elif n != target:
-                trace.conflicts.append(
-                    {"kind": "fiber-split", "m": fx.h2_labels[m],
-                     "images": sorted({n, target}),
-                     "nodes": [witness.to_json(), node.to_json()]})
-        if target is not None:
-            rho2[m] = target
-            trace.rho2_table[m] = {"image": target,
+        witness = keys[0]
+        img = phi.map(witness)
+        if not _is_member(fy, img):
+            trace.conflicts.append(
+                {"kind": "image-not-member", "m": fx.h2_labels[m],
+                 "node": witness.to_json()})
+        elif img.b_mask.bit_count() != 1:
+            trace.conflicts.append(
+                {"kind": "image-fiber-not-singleton",
+                 "m": fx.h2_labels[m], "node": witness.to_json(),
+                 "image": img.to_json()})
+        else:
+            rho2[m] = img.b_mask.bit_length() - 1
+            trace.rho2_table[m] = {"image": rho2[m],
                                    "witness": witness.to_json()}
     if len(rho2) == fx.n2 and (len(set(rho2.values())) != fx.n2
                                or fx.n2 != fy.n2):
@@ -533,7 +513,11 @@ def build_rho(phi: StrIso, size_cap: int = 3, prefer_rays: bool = True
     The only raise of the pipeline: failure never yields a partial or
     guessed map, and the conflicts of both stages, or an incidence
     violation of the assembled map, surface in the merged trace.  The
-    table is walked for its singleton fibers once, for both stages.
+    table is walked for its singleton fibers once, for both stages.  The
+    stages read one witness per fiber and the K-sets a curve needs, not
+    every node, so a returned map is certified only by
+    ``verify_factorization``, which ``round_trip`` and ``reconstruct`` both
+    run on it.
     """
     fibers = _singleton_fibers(phi)
     rho2, trace = rho2_from_phi(phi, fibers=fibers)

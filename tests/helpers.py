@@ -698,16 +698,18 @@ def k_sets(fragment: PosetFragment, x: int, size_cap: int = 3
 
 def rho2_from_phi_by_node(phi: StrIso, *, fibers=None
                           ) -> tuple[dict[int, int], ReconstructionTrace]:
-    """Point map from where singleton-fiber nodes land.
+    """Point map from one witness per singleton fiber.
 
-    Every domain node over {m} must map into one singleton fiber {n};
-    disagreements, non-singleton images and empty fibers become conflicts.
-    Nodes are grouped by fiber from the domain list, then each is mapped
-    (one probe) as its fiber is read.  ``fibers`` is ignored.
+    Nodes are grouped by fiber from the domain list, and the first node of
+    each fiber is mapped (one probe): its image must satisfy the element
+    definition of a member pair over a single point, and that point is
+    the fiber's image.  A failing image and an empty fiber become
+    conflicts, and so does a point map that is no bijection.  ``fibers``
+    is ignored.
     """
     trace = ReconstructionTrace()
     fx, fy = phi.fragment_x, phi.fragment_y
-    h1_top, h2_top = fy.all_h1_mask, fy.all_h2_mask
+    curves, points = set(range(fy.n1)), set(range(fy.n2))
     groups: dict[int, list[StrNode]] = {m: [] for m in range(fx.n2)}
     for node in phi.domain:
         if node.is_ray or node.b_mask.bit_count() != 1:
@@ -719,38 +721,25 @@ def rho2_from_phi_by_node(phi: StrIso, *, fibers=None
             trace.conflicts.append({"kind": "empty-fiber",
                                     "m": fx.h2_labels[m]})
             continue
-        target = None
-        witness = None
-        for node in groups[m]:
-            img = phi.map(node)
-            a, b = img.a_mask, img.b_mask
-            if 0 <= a <= h1_top and 0 < b <= h2_top and not b & (b - 1):
-                member = bool(a & fy.down[b.bit_length() - 1])
-            else:
-                member = str_member(fy, (a, b))
-            if not member:
-                trace.conflicts.append(
-                    {"kind": "image-not-member", "m": fx.h2_labels[m],
-                     "node": node.to_json()})
-                continue
-            if b.bit_count() != 1:
-                trace.conflicts.append(
-                    {"kind": "image-fiber-not-singleton",
-                     "m": fx.h2_labels[m], "node": node.to_json(),
-                     "image": img.to_json()})
-                continue
-            n = b.bit_length() - 1
-            if target is None:
-                target, witness = n, node
-            elif n != target:
-                trace.conflicts.append(
-                    {"kind": "fiber-split", "m": fx.h2_labels[m],
-                     "images": sorted({n, target}),
-                     "nodes": [witness.to_json(), node.to_json()]})
-        if target is not None:
-            rho2[m] = target
-            trace.rho2_table[m] = {"image": target,
-                                   "witness": witness.to_json()}
+        node = groups[m][0]
+        img = phi.map(node)
+        a, b = img.a_mask, img.b_mask
+        if not (a > 0 and b > 0 and set(bits_of(a)) <= curves
+                and set(bits_of(b)) <= points
+                and any(all(fy.up[x] >> n & 1 for n in bits_of(b))
+                        for x in bits_of(a))):
+            trace.conflicts.append(
+                {"kind": "image-not-member", "m": fx.h2_labels[m],
+                 "node": node.to_json()})
+        elif len(list(bits_of(b))) != 1:
+            trace.conflicts.append(
+                {"kind": "image-fiber-not-singleton",
+                 "m": fx.h2_labels[m], "node": node.to_json(),
+                 "image": img.to_json()})
+        else:
+            rho2[m] = next(bits_of(b))
+            trace.rho2_table[m] = {"image": rho2[m],
+                                   "witness": node.to_json()}
     if len(rho2) == fx.n2 and (len(set(rho2.values())) != fx.n2
                                or fx.n2 != fy.n2):
         trace.conflicts.append({"kind": "rho2-not-bijective",

@@ -5,9 +5,9 @@ import time
 import pytest
 
 from strposet import (DomainSpec, GeneratorParams, IsoMap, PosetFragment,
-                      StrIso, affine_plane_fragment, corrupt_str_iso,
-                      cusp_fragment, dumps_fragment, finite_node,
-                      induce_str_iso, json_text, load_fragment,
+                      StrIso, affine_plane_fragment, build_rho,
+                      corrupt_str_iso, cusp_fragment, dumps_fragment,
+                      finite_node, induce_str_iso, json_text, load_fragment,
                       random_fragment, relabel, round_trip, save_fragment,
                       witness_battery)
 from strposet.cli import main
@@ -356,15 +356,15 @@ def test_reconstruct_output_bytes_frozen(capsys, files):
                          "--map", files["map"])
     assert code == 0 and err == ""
     assert digest(json_text(spell_trace(json.loads(out)))) == (
-        "93e9b33b367d2b9549c03811c938860310ea66a1aac1cca65bbeb024490ffd32")
+        "292875500c6e1466164128d8d1df5d3cd48df2337c60a22cadd52d9a5965e064")
 
 
 @pytest.mark.parametrize("map_file,rc,sha256", [
     ("map_bad", 1,      # conflicts, the error and its trace
-     "71211f8609a4b843be5ea1ab575db1839871a8d3d4cbbe2d3a95d3a84be92cf3"),
+     "bd59047664a9ad6cef56b654d0b3d62925e1afe55ae3e050653eb224c269fc28"),
     ("map_rays", 0,     # the curve map read off the rays
-     "655305ef43caf5c62857652084b7deeb631946301d4df38c357d56a032cd22fc"),
-])
+     "7eb2911caca6a33d3e36303c508201bc96d36dc15e312e4f96e2c2038dcf04bf"),
+], ids=["map_bad", "map_rays"])
 def test_reconstruct_conflict_and_ray_bytes_frozen(capsys, files, map_file,
                                                    rc, sha256):
     code, out, err = run(capsys, "reconstruct", files["p3"], files["p3y"],
@@ -375,12 +375,12 @@ def test_reconstruct_conflict_and_ray_bytes_frozen(capsys, files, map_file,
 
 @pytest.mark.parametrize("map_file,rc,sha256", [
     ("map", 0,
-     "bf8e9ae6d61b014923b6ed9ea4fcdbfbc179765ca1d26b781443cade04f30c64"),
+     "42ff1c512d0aca6bc77e5f7540df9890ecd3bcad2354dfa73f0c9f23d79836d5"),
     ("map_bad", 1,
-     "3fbedcee8da6794eecc3db639cb6d589ca6255d4161b846a0c7fad6e8cb1ed6b"),
+     "2178f9c63b01706be8dee8142098cedd77c42ecc8813446867963a334dea9df5"),
     ("map_rays", 0,
-     "6093f6c2fdbe8cc2ac7f581bc0faf60432b68b6c6733095d7097daf60cf8b906"),
-])
+     "0233ccecd8b0b2fa519bc20e57aa5aafa0f42ef453c5fcd3e642b932e45e9421"),
+], ids=["map", "map_bad", "map_rays"])
 def test_reconstruct_report_bytes_frozen(capsys, files, map_file, rc,
                                          sha256):
     # the report as printed, its trace at version 2
@@ -405,6 +405,42 @@ def test_k_set_stop_rule_moves_only_traces_and_probes(capsys, files):
     del report["probes"]
     assert code == 0 and digest(json_text(report)) == (
         "9d042af7fa141c4653701130dc7083d0565ab3a86b9ed1d448c2a730a1abb35f")
+
+
+def clean_probes(phi: StrIso, trace: dict) -> int:
+    """A clean run's probes: one witness per nonempty singleton fiber, the
+    (curve, K-set or ray) pairs rho1 cites and every node checked once."""
+    fibers = {node.b_mask for node in phi.table
+              if not node.is_ray and node.b_mask.bit_count() == 1}
+    cited = sum(len(entry["evidence"]) for entry in trace["rho1"].values())
+    return len(fibers) + cited + len(phi.table)
+
+
+def test_one_witness_per_fiber_moves_only_probes(capsys, files):
+    # a digest taken while rho2 looked up every node of each singleton
+    # fiber: reading one witness per fiber changes the probe count and no
+    # other byte of a clean run's report, its trace included (the
+    # roundtrip report without probes is pinned by the test above)
+    code, out, _ = run(capsys, "reconstruct", files["p3"], files["p3y"],
+                       "--map", files["map"])
+    report = json.loads(out)
+    del report["probes"]
+    assert code == 0 and digest(json_text(report)) == (
+        "5e81c6fa30a7225552e4cf0158abc560d5ba201eeb3fb46118c28614cb0e8f8f")
+    fx, fy = load_fragment(files["p3"]), load_fragment(files["p3y"])
+    for map_file in ("map", "map_rays"):
+        code, out, _ = run(capsys, "reconstruct", files["p3"], files["p3y"],
+                           "--map", files[map_file])
+        report = json.loads(out)
+        with open(files[map_file], encoding="utf-8") as fh:
+            phi = StrIso.from_json(fx, fy, json.load(fh))
+        assert code == 0
+        assert report["probes"] == clean_probes(phi, report["trace"])
+    code, out, _ = run(capsys, "roundtrip", files["p3"], "--seed", "3")
+    phi = induce_str_iso(relabel(fx, 3)[1])
+    trace = build_rho(phi, 3, False)[1].to_json()
+    assert code == 0
+    assert json.loads(out)["probes"] == clean_probes(phi, trace)
 
 
 @pytest.mark.parametrize("map_file", ["map", "map_bad", "map_rays"])
@@ -600,12 +636,12 @@ def earlier_run(fixture: str, report: dict, cut: bool) -> dict:
 # run that --allow-weak-battery gave.
 @pytest.mark.parametrize("fixture,flags,rc,sha256", [
     ("p3", ["--seed", "3"], 0,
-     "6a4dd5990e513846e23890b2a12e897274968446f83ba695fef483bf67fa2c6d"),
+     "f09da098ec066a6a30f6e77eb688c71f83a295a5e6818e98613edd53cac0327a"),
     ("p3", ["--corrupt"], 1,
-     "824ee605eebe4c82856c3d6a400dccef163b2d0a828fb8add4503f32fb93d1bb"),
+     "90539176b8203f0238a55402bb2e1a2b7bff9f54f3d785149f30b9174e796cae"),
     ("f0", [], 1,
-     "f1075634f5e73c6779301699fdfb3e4ad8bfb3013e536db66f36982adc5e61f9"),
-])
+     "fa41e9483cc81721934814022c2da91702cd4d4b6565e738daa084e4c4737ac9"),
+], ids=["p3-seed-3", "p3-corrupt", "f0"])
 def test_roundtrip_output_bytes_frozen(capsys, files, fixture, flags, rc,
                                        sha256):
     code, out, err = run(capsys, "roundtrip", files[fixture], *flags)
@@ -616,10 +652,10 @@ def test_roundtrip_output_bytes_frozen(capsys, files, fixture, flags, rc,
 
 @pytest.mark.parametrize("flags,rc,sha256", [
     (["--seed", "3"], 0,
-     "b9018ee357b427edf664528d6a0b7649627a70659b04d0965f065ea8661c14ee"),
+     "7d8ca97b49db1e9379f9056e54970327b12f817f3e39be212a28486c3cd0997c"),
     (["--corrupt"], 1,
-     "99cee55889de45192bf032af8806dce9528cd6ff5e561476cf95191b90b7c5a9"),
-])
+     "14f5e3717c8b83f5744c2d13ac0132883b8687db75b09dae09d67bb6dd0b33e9"),
+], ids=["seed-3", "corrupt"])
 def test_roundtrip_run_bytes_frozen(capsys, files, flags, rc, sha256):
     # a run as the verb printed it with the error and the whole battery
     code, out, err = run(capsys, "roundtrip", files["p3"], *flags)
@@ -630,10 +666,10 @@ def test_roundtrip_run_bytes_frozen(capsys, files, flags, rc, sha256):
 
 @pytest.mark.parametrize("flags,rc,sha256", [
     (["--seed", "3"], 0,
-     "c1c2bb766e7e1074f36b27c9670553bd29072660a0559dc130e3ad635bb8cda3"),
+     "9277983c94c020575a13277b4d49e7ec94aacbbaefc8e80ad240aa8d96abe871"),
     (["--corrupt"], 1,
-     "381aa00758cec0c6992520755208890865c198c7e28341b238a074f94897ed35"),
-])
+     "cccfba94ab96664c4588e111856db3cc58263da62ee7c75122856f7e540441d1"),
+], ids=["seed-3", "corrupt"])
 def test_roundtrip_report_bytes_frozen(capsys, files, flags, rc, sha256):
     # the report as printed: the round-trip result alone
     code, out, err = run(capsys, "roundtrip", files["p3"], *flags)
