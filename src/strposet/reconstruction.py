@@ -559,8 +559,10 @@ class FactorizationReport:
 def verify_factorization(phi: StrIso, rho: IsoMap) -> FactorizationReport:
     """Check phi(A, B) = (rho A, rho B) nodewise, a ray node's tag carried
     along; mismatches report the pulled-back ordinates of the actual image
-    next to A and B.  Every node is one probe."""
+    next to A and B, where curves and points outside fragment_y, having no
+    preimage, are left out.  Every node is one probe."""
     h1, h2, inv = rho.h1_map, rho.h2_map, rho.inverse()
+    all1, all2 = rho.target.all_h1_mask, rho.target.all_h2_mask
     b_images: dict[int, int] = {}
     violations = []
     for node, img in phi.table.items():
@@ -569,11 +571,13 @@ def verify_factorization(phi: StrIso, rho: IsoMap) -> FactorizationReport:
             b_img = b_images[b] = mask_image(b, h2)
         expected = (mask_image(a, h1), b_img, None if ray is None else h1[ray])
         if img != expected:
+            a_star = inv.h1_mask_image(img.a_mask & all1)
+            b_star = inv.h2_mask_image(img.b_mask & all2)
             violations.append(
                 {"node": node.to_json(), "image": img.to_json(),
                  "expected": StrNode(*expected).to_json(),
-                 "a_star": list(bits_of(inv.h1_mask_image(img.a_mask))),
-                 "b_star": list(bits_of(inv.h2_mask_image(img.b_mask)))})
+                 "a_star": list(bits_of(a_star)),
+                 "b_star": list(bits_of(b_star))})
     phi.probes += len(phi.table)
     return FactorizationReport(len(phi.table), violations)
 

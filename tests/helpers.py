@@ -805,7 +805,8 @@ def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3, *, fibers=None
 def verify_factorization_by_node(phi: StrIso, rho: IsoMap
                                  ) -> FactorizationReport:
     """Check phi(A, B) = (rho A, rho B) nodewise; mismatches report the
-    pulled-back ordinates of the actual image next to A and B."""
+    pulled-back ordinates of the actual image next to A and B, skipping
+    curves and points that fragment_y does not have."""
     inv = rho.inverse()
     violations = []
     for node in phi.domain:
@@ -815,8 +816,10 @@ def verify_factorization_by_node(phi: StrIso, rho: IsoMap
             violations.append(
                 {"node": node.to_json(), "image": img.to_json(),
                  "expected": expected.to_json(),
-                 "a_star": list(bits_of(inv.h1_mask_image(img.a_mask))),
-                 "b_star": list(bits_of(inv.h2_mask_image(img.b_mask)))})
+                 "a_star": sorted(inv.h1_map[y] for y in bits_of(img.a_mask)
+                                  if y < len(inv.h1_map)),
+                 "b_star": sorted(inv.h2_map[y] for y in bits_of(img.b_mask)
+                                  if y < len(inv.h2_map))})
     return FactorizationReport(len(phi.domain), violations)
 
 

@@ -289,6 +289,25 @@ def test_rho2_records_images_outside_fragment_y(f0):
         ("image-not-member", "d"), ("image-not-member", "e")]
 
 
+def test_factorization_reports_images_outside_fragment_y(f0):
+    # neither stage reads the second node over point d, so build_rho returns
+    # the identity; the factorization check reports the damaged image and
+    # pulls back only the curve and point that f0 has
+    phi = induce_str_iso(identity_iso(f0), DomainSpec(include_rays=True))
+    node = finite_node(0b010, 0b01)
+    assert reconstruction._singleton_fibers(phi)[0][1] == node
+    table = dict(phi.table)
+    table[node] = finite_node(0b100010, 0b1001)
+    bad = StrIso(f0, f0, table)
+    rho, _ = build_rho(bad)
+    assert rho == identity_iso(f0)
+    report = verify_factorization(bad, rho).to_json()
+    assert report["violations"] == [
+        {"node": node.to_json(), "image": table[node].to_json(),
+         "expected": node.to_json(), "a_star": [1], "b_star": [0]}]
+    assert verify_factorization_by_node(bad, rho).to_json() == report
+
+
 def test_rho2_requires_every_fiber(f0):
     phi = StrIso(f0, f0, {finite_node(0b001, 0b01): finite_node(0b001, 0b01)})
     rho2, trace = rho2_from_phi(phi)
@@ -439,6 +458,7 @@ def test_build_rho_keeps_the_point_map_when_rho1_raises(planted3, corrupt):
         phi = corrupt_str_iso(phi, seed=0)
     _, t2 = rho2_from_phi(phi)
     _, t1 = rho1_from_psi(phi)
+    assert corrupt or not t2.conflicts
     assert {"kind": "no-k-set", "x": "x2"} in t1.conflicts
     with pytest.raises(ReconstructionError, match="conflicting evidence") \
             as err:
