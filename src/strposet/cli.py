@@ -27,8 +27,8 @@ from .models import (GeneratorParams, affine_plane_fragment,
                      json_text, load_fragment, random_fragment, read_json)
 from .reconstruction import (ReconstructionError, StrIso, build_rho,
                              round_trip, verify_factorization)
-from .structure import (ENUM_CAP, enumerate_fiber, finite_node, str_leq,
-                        str_member, mu_statistic, w_max)
+from .structure import (ENUM_CAP, _dot_quoted, enumerate_fiber, finite_node,
+                        str_leq, str_member, mu_statistic, w_max)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -106,17 +106,14 @@ def parse_node(fragment: PosetFragment, text: str):
 
 def fragment_to_dot(fragment: PosetFragment) -> str:
     """Hasse diagram of the fragment itself (covers only)."""
+    h1 = [_dot_quoted(label) for label in fragment.h1_labels]
+    h2 = [_dot_quoted(label) for label in fragment.h2_labels]
     lines = ["digraph fragment {", "  rankdir=BT;", '  "Min";']
-    for i in range(fragment.n1):
-        lines.append(f'  "{fragment.h1_labels[i]}";')
-    for j in range(fragment.n2):
-        lines.append(f'  "{fragment.h2_labels[j]}";')
-    for i in range(fragment.n1):
-        lines.append(f'  "Min" -> "{fragment.h1_labels[i]}";')
-    for i in range(fragment.n1):
+    lines += [f"  {x};" for x in h1 + h2]
+    lines += [f'  "Min" -> {x};' for x in h1]
+    for i, x in enumerate(h1):
         for j in bits_of(fragment.up[i]):
-            lines.append(f'  "{fragment.h1_labels[i]}" -> '
-                         f'"{fragment.h2_labels[j]}";')
+            lines.append(f"  {x} -> {h2[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

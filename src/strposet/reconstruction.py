@@ -23,7 +23,7 @@ from operator import itemgetter, le
 from typing import Iterable
 
 from .core import IsoMap, PosetFragment, bits_of, mask_image, relabel
-from .structure import (StrNode, _leq_members, node_from_tuple, ray_node,
+from .structure import (StrNode, _strict_rows, node_from_tuple, ray_node,
                         str_member)
 
 # induce_str_iso refuses larger domains; a round trip at the cap needs
@@ -103,31 +103,6 @@ def _is_ray_node(fragment: PosetFragment, node: StrNode) -> bool:
         return False
 
 
-def _nesting_pairs(masks: list[int]) -> set[tuple[int, int]]:
-    """Positions (i, j) with masks[i] a proper nonempty subset of masks[j].
-
-    Each mask walks its proper subsets through an index from mask to
-    positions, unless it has more subsets than there are distinct masks;
-    then it scans those instead.  Masks must be nonnegative."""
-    positions: dict[int, list[int]] = {}
-    for i, mask in enumerate(masks):
-        positions.setdefault(mask, []).append(i)
-    pairs = set()
-    for j, mask in enumerate(masks):
-        if 1 << mask.bit_count() > len(positions):
-            subs = [s for s in positions if s and s != mask and not s & ~mask]
-        else:
-            subs = []
-            sub = (mask - 1) & mask
-            while sub:
-                subs.append(sub)
-                sub = (sub - 1) & mask
-        for sub in subs:
-            for i in positions.get(sub, ()):
-                pairs.add((i, j))
-    return pairs
-
-
 class StrIso:
     """Bijection between enumerated node universes of two pair orders.
 
@@ -159,13 +134,13 @@ class StrIso:
         its fragment, no two nodes share an image, and the order agrees in
         both directions.
 
-        Distinct nodes compare only when the lower first ordinate is a
-        proper subset of the upper one, so the order is tested just on the
-        domain pairs (i, j) that nest that way on either side, in index
-        order, and the report stops after 21 mismatches.  With first
-        ordinates of at most k curves that is about len(domain) * 2^k pairs.
-        The first pass has found every node and image a member pair, so the
-        order test does not check membership again.
+        The order is compared through ``_strict_rows`` of the domain and of
+        the images: each node walks the first ordinates its own rule lets
+        lie below it, so with first ordinates of at most k curves that is
+        about len(domain) * 2^k lookups per side, and no pair is tested on
+        its own.  Mismatches are reported in (i, j) index order, and the
+        report stops after 21.  The first pass has found every node and
+        image a member pair, which is all the rows assume.
         """
         problems = []
         inverse = {img: node for node, img in self.table.items()}
@@ -192,21 +167,13 @@ class StrIso:
                 problems.append(f"inverse(map({node})) = {back}")
         if problems or not order_check:
             return problems
-        candidates = (_nesting_pairs([u.a_mask for u in domain])
-                      | _nesting_pairs([fu.a_mask for fu in images]))
-        for i, j in sorted(candidates):
-            u, v, fu, fv = domain[i], domain[j], images[i], images[j]
-            # u <= v needs v's points within u's; same on the image side.
-            x_possible = v.b_mask & ~u.b_mask == 0
-            y_possible = fv.b_mask & ~fu.b_mask == 0
-            if not (x_possible or y_possible):
-                continue
-            lx = x_possible and _leq_members(fx, u, v)
-            ly = y_possible and _leq_members(fy, fu, fv)
-            if lx != ly:
+        rows_y = _strict_rows(fy, images)
+        for i, row_x in enumerate(_strict_rows(fx, domain)):
+            for j in bits_of(row_x ^ rows_y[i]):
+                lx = bool(row_x >> j & 1)
                 problems.append(
-                    f"order mismatch: {u} <= {v} is {lx} "
-                    f"but image comparison gives {ly}")
+                    f"order mismatch: {domain[i]} <= {domain[j]} is {lx} "
+                    f"but image comparison gives {not lx}")
                 if len(problems) > 20:
                     return problems
         return problems

@@ -176,20 +176,42 @@ def str_leq(fragment: PosetFragment, lower: NodeLike, upper: NodeLike) -> bool:
     ended), and since domination needs a strictly larger first ordinate,
     neither is below the other.
     """
-    require_member(fragment, lower)
-    require_member(fragment, upper)
-    return _leq_members(fragment, lower, upper)
-
-
-def _leq_members(fragment: PosetFragment, lower: NodeLike,
-                 upper: NodeLike) -> bool:
-    """``str_leq`` on nodes already known to be member pairs: equal masks
-    take ``_same_node``, all other pairs ``_leq_masks``."""
-    a, b = _masks(lower)
-    c, d = _masks(upper)
+    a, b = require_member(fragment, lower)
+    c, d = require_member(fragment, upper)
     if a == c and b == d:
         return _same_node(lower, upper)
     return _leq_masks(fragment, a, b, c, d)
+
+
+def _strict_rows(fragment: PosetFragment, nodes: list[NodeLike]) -> list[int]:
+    """Bit j of row i is set when member node i lies strictly below member
+    node j: A_i is a subset of A_j & ~_bad(A_j, B_j) other than A_j, and
+    B_i contains B_j.  No order test and no membership validation.
+
+    Each node walks those subsets through an index from first ordinate to
+    positions, unless it has more of them than there are distinct first
+    ordinates; then it scans those instead."""
+    positions: dict[int, list[int]] = {}
+    for i, node in enumerate(nodes):
+        positions.setdefault(node[0], []).append(i)
+    rows = [0] * len(nodes)
+    for j, node in enumerate(nodes):
+        a, b = node[0], node[1]
+        allowed = a & ~_bad(fragment, a, b)
+        if 1 << allowed.bit_count() > len(positions):
+            subs = [s for s in positions if s and not s & ~allowed]
+        else:
+            subs, sub = [], allowed
+            while sub:
+                subs.append(sub)
+                sub = (sub - 1) & allowed
+        bit = 1 << j
+        for sub in subs:
+            if sub != a:
+                for i in positions.get(sub, ()):
+                    if not b & ~nodes[i][1]:
+                        rows[i] |= bit
+    return rows
 
 
 def str_leq_bruteforce(fragment: PosetFragment, lower: NodeLike,
@@ -284,17 +306,25 @@ class FiberView:
     def to_dot(self, include_via: bool = True) -> str:
         lines = ["digraph strfiber {", "  rankdir=BT;"]
         for i, node in enumerate(self.nodes):
-            lines.append(f'  n{i} [label="{format_node(self.fragment, node)}"];')
+            label = _dot_quoted(format_node(self.fragment, node))
+            lines.append(f"  n{i} [label={label}];")
         for i, j in self.covers():
             upper = self.nodes[j]
             if include_via:
                 via = w_max(self.fragment, upper.a_mask, upper.b_mask)
                 names = ",".join(self.fragment.h1_mask_labels(via))
-                lines.append(f'  n{i} -> n{j} [label="{{{names}}}"];')
+                label = _dot_quoted(f"{{{names}}}")
+                lines.append(f"  n{i} -> n{j} [label={label}];")
             else:
                 lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_quoted(text: str) -> str:
+    """``text`` as a DOT quoted string: each backslash and double quote
+    escaped with a backslash, every other character as it is."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def format_node(fragment: PosetFragment, node: StrNode) -> str:

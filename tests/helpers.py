@@ -573,10 +573,11 @@ def unmap(phi: StrIso, node: StrNode) -> StrNode:
 
 
 def validate_all_pairs(phi, order_check: bool = True) -> list[str]:
-    """``StrIso.validate`` as it was before the nesting index: the same audit
-    with the order compared on every ordered pair of distinct domain nodes
-    by ``str_leq_bruteforce``, so it shares no order code with the library.
-    The library version must return the same list in the same order."""
+    """``StrIso.validate`` as it was before it read the order off strict
+    rows: the same audit with the order compared on every ordered pair of
+    distinct domain nodes by ``str_leq_bruteforce``, so it shares no order
+    code with the library.  The library version must return the same list
+    in the same order."""
     problems = []
     codomain = list(phi.table.values())
     if len(set(phi.domain)) != len(phi.domain):

@@ -743,6 +743,37 @@ def test_dot_refuses_non_string_labels(capsys, tmp_path):
                    "strings, got 5\n")
 
 
+def test_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    path = tmp_path / "quoted.json"
+    save_fragment(PosetFragment(2, 1, [(0, 0), (1, 0)], ['a"b', "c\\"],
+                                ["m"]), str(path))
+    code, out, _ = run(capsys, "dot", str(path))
+    assert code == 0
+    assert out == r"""digraph fragment {
+  rankdir=BT;
+  "Min";
+  "a\"b";
+  "c\\";
+  "m";
+  "Min" -> "a\"b";
+  "Min" -> "c\\";
+  "a\"b" -> "m";
+  "c\\" -> "m";
+}
+"""
+    code, out, _ = run(capsys, "fiber", str(path), "--b", "m", "--dot")
+    assert code == 0
+    assert out == r"""digraph strfiber {
+  rankdir=BT;
+  n0 [label="(a\"b|m)"];
+  n1 [label="(c\\|m)"];
+  n2 [label="(a\"b,c\\|m)"];
+  n0 -> n2 [label="{a\"b,c\\}"];
+  n1 -> n2 [label="{a\"b,c\\}"];
+}
+"""
+
+
 def test_output_file_matches_stdout(capsys, files):
     _, out, _ = run(capsys, "check", files["f3"])
     target = str(files["dir"] / "check.json")

@@ -737,6 +737,26 @@ def test_census_never_returns_a_wrong_map(monkeypatch):
     assert built > 0
 
 
+def test_census_validate_matches_all_pairs():
+    """Every class up to 5 curves and 3 points at seed 0 and k_cap 2, with
+    rays wherever every curve has a point above it: on the induced map, a
+    corrupted one and a shuffled one, validate equals its all-pairs
+    oracle."""
+    maps = 0
+    for frag in CENSUS:
+        phi = induce_str_iso(relabel(frag, 0)[1],
+                             DomainSpec(k_cap=2, include_rays=all(frag.up)))
+        variants = [phi, shuffle_images(phi, 0)]
+        try:
+            variants.append(corrupt_str_iso(phi, 0))
+        except ValueError:      # a single fiber: nothing to swap
+            pass
+        for variant in variants:
+            assert variant.validate() == validate_all_pairs(variant), frag.up
+            maps += 1
+    assert maps > 2 * len(CENSUS)
+
+
 def test_corrupted_census_maps_never_recover():
     """Every class up to 5 curves and 3 points, psi-only at k_cap 2 and 3,
     seeds 0-2, with the images of two nodes of different fibers swapped:

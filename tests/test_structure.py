@@ -2,16 +2,17 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strposet import (GeneratorParams, StrNode, counting_formula,
-                      down_set_in_fiber, enumerate_fiber, finite_node,
-                      format_node, has_strictly_smaller, mu_statistic,
-                      parity_mub_check, random_fragment, ray_node, str_leq,
-                      str_leq_bruteforce, str_member, w_max)
+from strposet import (GeneratorParams, PosetFragment, StrNode,
+                      counting_formula, down_set_in_fiber, enumerate_fiber,
+                      finite_node, format_node, has_strictly_smaller,
+                      mu_statistic, parity_mub_check, random_fragment,
+                      ray_node, str_leq, str_leq_bruteforce, str_member,
+                      w_max)
 from strposet.core import bits_of, mask_of
-from strposet.structure import _bad, _down_set, node_from_tuple
+from strposet.structure import _bad, _down_set, _strict_rows, node_from_tuple
 
 from conftest import fragment_and_member, fragments
 from helpers import (SmallPoset, brute_down_set, brute_fhp,
@@ -194,6 +195,48 @@ def test_str_leq_matches_bruteforce_random(fm):
             assert str_leq(frag, lower, node) == \
                 str_leq_bruteforce(frag, lower, node)
         sub = (sub - 1) & node.a_mask
+
+
+@st.composite
+def member_node_lists(draw):
+    """A fragment and distinct member nodes of it in any order: nodes of
+    several fibers, one-curve nodes and ray nodes beside their finite
+    twins."""
+    frag = draw(fragments(max_n1=5, max_n2=3))
+    members = [finite_node(a, b) for a in range(1, 1 << frag.n1)
+               for b in range(1, 1 << frag.n2) if str_member(frag, (a, b))]
+    members += [ray_node(frag, x) for x in range(frag.n1) if frag.up[x]]
+    if not members:
+        return frag, []
+    return frag, draw(st.lists(st.sampled_from(members), unique=True,
+                               max_size=40))
+
+
+@given(member_node_lists())
+# _bad({x, y, z}, {p0}) = {x}: the kernel scans the two first ordinates
+# instead of walking the subsets of {y, z}, and (x | p0) is not below
+@example((PosetFragment(3, 2, [(0, 0), (0, 1)]),
+          [finite_node(0b111, 0b01), finite_node(0b001, 0b01)]))
+@settings(max_examples=100, deadline=None)
+def test_strict_rows_match_bruteforce(frag_nodes):
+    frag, nodes = frag_nodes
+    expected = [mask_of(j for j, v in enumerate(nodes)
+                        if j != i and str_leq_bruteforce(frag, u, v))
+                for i, u in enumerate(nodes)]
+    assert _strict_rows(frag, nodes) == expected
+
+
+@given(fragment_and_member(), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_strict_rows_match_fiber_views(fm, amax):
+    """The fiber views' all-pairs rows, diagonal cleared, are the kernel's
+    rows on the same node lists."""
+    frag, node = fm
+    views = [enumerate_fiber(frag, node.b_mask, frag.all_h1_mask, amax),
+             down_set_in_fiber(frag, node)]
+    for view in views:
+        assert _strict_rows(frag, view.nodes) == [
+            row & ~(1 << i) for i, row in enumerate(view.leq_rows)]
 
 
 def test_partial_order_laws_on_fibers():
