@@ -27,7 +27,7 @@ from .models import (GeneratorParams, affine_plane_fragment,
                      json_text, load_fragment, random_fragment, read_json)
 from .reconstruction import (ReconstructionError, StrIso, build_rho,
                              round_trip, verify_factorization)
-from .structure import (ENUM_CAP, _dot_quoted, enumerate_fiber, finite_node,
+from .structure import (ENUM_CAP, _dot_graph, enumerate_fiber, finite_node,
                         str_leq, str_member, mu_statistic, w_max)
 
 EXIT_OK = 0
@@ -105,17 +105,14 @@ def parse_node(fragment: PosetFragment, text: str):
 
 
 def fragment_to_dot(fragment: PosetFragment) -> str:
-    """Hasse diagram of the fragment itself (covers only)."""
-    h1 = [_dot_quoted(label) for label in fragment.h1_labels]
-    h2 = [_dot_quoted(label) for label in fragment.h2_labels]
-    lines = ["digraph fragment {", "  rankdir=BT;", '  "Min";']
-    lines += [f"  {x};" for x in h1 + h2]
-    lines += [f'  "Min" -> {x};' for x in h1]
-    for i, x in enumerate(h1):
-        for j in bits_of(fragment.up[i]):
-            lines.append(f"  {x} -> {h2[j]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Hasse diagram of the fragment itself (covers only): the minimum is
+    node n0, curve i is n<1 + i> and point j is n<1 + n1 + j>."""
+    n1 = fragment.n1
+    labels = ["Min", *fragment.h1_labels, *fragment.h2_labels]
+    edges = [(0, 1 + i, None) for i in range(n1)]
+    edges += [(1 + i, 1 + n1 + j, None) for i in range(n1)
+              for j in bits_of(fragment.up[i])]
+    return _dot_graph("fragment", labels, edges)
 
 
 # -- verbs --------------------------------------------------------------------

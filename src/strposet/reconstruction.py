@@ -23,8 +23,8 @@ from operator import itemgetter, le
 from typing import Iterable
 
 from .core import IsoMap, PosetFragment, bits_of, mask_image, relabel
-from .structure import (StrNode, _strict_rows, node_from_tuple, ray_node,
-                        str_member)
+from .structure import (StrNode, _member, _strict_rows, node_from_tuple,
+                        ray_node)
 
 # induce_str_iso refuses larger domains; a round trip at the cap needs
 # about 377 MiB over the imported package (ROUND_TRIP_BYTES_PER_NODE)
@@ -87,20 +87,11 @@ def domain_size(fragment: PosetFragment, spec: DomainSpec) -> int:
     return size + fragment.n1 if spec.include_rays else size
 
 
-def _is_member(fragment: PosetFragment, node: StrNode) -> bool:
-    """Membership that reads ordinates outside the fragment as a plain no."""
-    try:
-        return str_member(fragment, node.masks())
-    except ValueError:
-        return False
-
-
 def _is_ray_node(fragment: PosetFragment, node: StrNode) -> bool:
     """Whether a node tagged as a ray is ``ray_node(fragment, ray_of)``."""
-    try:
-        return node == ray_node(fragment, node.ray_of)
-    except ValueError:
-        return False
+    x = node.ray_of
+    return (0 <= x < fragment.n1 and fragment.up[x] != 0
+            and node == ray_node(fragment, x))
 
 
 class StrIso:
@@ -132,7 +123,8 @@ class StrIso:
         """Invariant audit: domain nodes and their images are member pairs,
         a node or image tagged as the ray of curve x is ``ray_node`` of x in
         its fragment, no two nodes share an image, and the order agrees in
-        both directions.
+        both directions.  The first pass reads each entry once and counts
+        two probes per entry, the lookup and its inverse.
 
         The order is compared through ``_strict_rows`` of the domain and of
         the images: each node walks the first ordinates its own rule lets
@@ -142,31 +134,28 @@ class StrIso:
         report stops after 21.  The first pass has found every node and
         image a member pair, which is all the rows assume.
         """
-        problems = []
-        inverse = {img: node for node, img in self.table.items()}
-        if len(inverse) != len(self.table):
+        problems, table = [], self.table
+        inverse = {img: node for node, img in table.items()}
+        if len(inverse) != len(table):
             problems.append("codomain has repeated nodes")
         fx, fy = self.fragment_x, self.fragment_y
-        domain, images = self.domain, []
-        for node in domain:
-            if not _is_member(fx, node):
+        for node, img in table.items():
+            if not _member(fx, node[0], node[1]):
                 problems.append(f"domain node {node} is not a member pair")
-            img = self.map(node)
-            images.append(img)
-            if not _is_member(fy, img):
+            if not _member(fy, img[0], img[1]):
                 problems.append(f"image of {node} is not a member pair")
-            if node.ray_of is not None and not _is_ray_node(fx, node):
+            if node[2] is not None and not _is_ray_node(fx, node):
                 problems.append(f"domain node {node} is not the ray node "
                                 f"of its curve")
-            if img.ray_of is not None and not _is_ray_node(fy, img):
+            if img[2] is not None and not _is_ray_node(fy, img):
                 problems.append(f"image {img} of {node} is not the ray "
                                 f"node of its curve")
-            back = inverse[img]
-            self.probes += 1
-            if back != node:
+            if (back := inverse[img]) != node:
                 problems.append(f"inverse(map({node})) = {back}")
+        self.probes += 2 * len(table)
         if problems or not order_check:
             return problems
+        domain, images = list(table), list(table.values())
         rows_y = _strict_rows(fy, images)
         for i, row_x in enumerate(_strict_rows(fx, domain)):
             for j in bits_of(row_x ^ rows_y[i]):
@@ -231,8 +220,7 @@ def induce_str_iso(rho: IsoMap, spec: DomainSpec = DomainSpec()) -> StrIso:
                           node_from_tuple((k_img, b_img, None))
                           for k, k_img, _ in level})
     for x in range(fx.n1 if spec.include_rays else 0):
-        ray = ray_node(fx, x)
-        table[ray] = StrNode(1 << h1[x], rho.h2_mask_image(ray.b_mask), h1[x])
+        table[ray_node(fx, x)] = ray_node(rho.target, h1[x])
     return StrIso(fx, rho.target, table)
 
 
@@ -284,7 +272,7 @@ def rho2_from_phi(phi: StrIso, *, fibers: list[list[StrNode]] | None = None
             continue
         witness = keys[0]
         img = phi.map(witness)
-        if not _is_member(fy, img):
+        if not _member(fy, img[0], img[1]):
             trace.conflicts.append(
                 {"kind": "image-not-member", "m": fx.h2_labels[m],
                  "node": witness.to_json()})
@@ -481,16 +469,17 @@ def build_rho(phi: StrIso, size_cap: int = 3, prefer_rays: bool = True
     guessed map, and the conflicts of both stages, or an incidence
     violation of the assembled map, surface in the merged trace.  The
     table is walked for its singleton fibers once, for both stages.  The
-    stages read one witness per fiber and the K-sets a curve needs, not
-    every node, so a returned map is certified only by
-    ``verify_factorization``, which ``round_trip`` and ``reconstruct`` both
-    run on it.
+    curve map comes off the rays if ``prefer_rays`` and ``ray_node`` of
+    every curve is a key, else off the K-sets.  The stages read one witness
+    per fiber and the K-sets a curve needs, not every node, so a returned
+    map is certified only by ``verify_factorization``, which ``round_trip``
+    and ``reconstruct`` both run on it.
     """
     fibers = _singleton_fibers(phi)
     rho2, trace = rho2_from_phi(phi, fibers=fibers)
     fx = phi.fragment_x
-    rays = prefer_rays and ({ray for _, _, ray in phi.table} - {None}
-                            == set(range(fx.n1)))
+    rays = prefer_rays and all(fx.up[x] and ray_node(fx, x) in phi.table
+                               for x in range(fx.n1))
     rho1, t1 = (rho1_from_rays(phi) if rays
                 else rho1_from_psi(phi, size_cap, fibers=fibers))
     trace.rho1_table = t1.rho1_table

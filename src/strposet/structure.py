@@ -63,7 +63,8 @@ class StrNode(NamedTuple):
         if ray is not None and (type(ray) is not int
                                 or not 0 <= ray < HARD_MAX_TIER):
             raise ValueError(f"node ray is not an index or null: {ray!r}")
-        return cls(_index_mask(obj, "a"), _index_mask(obj, "b"), ray)
+        return node_from_tuple((_index_mask(obj, "a"), _index_mask(obj, "b"),
+                                ray))
 
 
 # ``StrNode(a, b)`` runs the named tuple's Python-level ``__new__``;
@@ -116,13 +117,19 @@ def _check_masks(fragment: PosetFragment, a_mask: int, b_mask: int) -> None:
         raise ValueError("second ordinate is not an h2 mask of this fragment")
 
 
+def _member(fragment: PosetFragment, a_mask: int, b_mask: int) -> bool:
+    """Some curve of A below every point of B, both nonempty masks of the
+    tiers; an empty, negative or out-of-tier ordinate is a plain no."""
+    return (0 < a_mask and 0 < b_mask and not a_mask >> fragment.n1
+            and not b_mask >> fragment.n2
+            and a_mask & fragment.common_h1_below(b_mask) != 0)
+
+
 def str_member(fragment: PosetFragment, node: NodeLike) -> bool:
-    """Both ordinates nonempty and some curve of A below every point of B."""
+    """``_member``, with ValueError for a mask outside the tiers."""
     a_mask, b_mask = _masks(node)
     _check_masks(fragment, a_mask, b_mask)
-    if not a_mask or not b_mask:
-        return False
-    return bool(a_mask & fragment.common_h1_below(b_mask))
+    return _member(fragment, a_mask, b_mask)
 
 
 def require_member(fragment: PosetFragment, node: NodeLike) -> tuple[int, int]:
@@ -304,27 +311,33 @@ class FiberView:
                 "covers": [list(c) for c in self.covers()]}
 
     def to_dot(self, include_via: bool = True) -> str:
-        lines = ["digraph strfiber {", "  rankdir=BT;"]
-        for i, node in enumerate(self.nodes):
-            label = _dot_quoted(format_node(self.fragment, node))
-            lines.append(f"  n{i} [label={label}];")
+        frag, edges = self.fragment, []
         for i, j in self.covers():
-            upper = self.nodes[j]
+            label = None
             if include_via:
-                via = w_max(self.fragment, upper.a_mask, upper.b_mask)
-                names = ",".join(self.fragment.h1_mask_labels(via))
-                label = _dot_quoted(f"{{{names}}}")
-                lines.append(f"  n{i} -> n{j} [label={label}];")
-            else:
-                lines.append(f"  n{i} -> n{j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+                via = w_max(frag, self.nodes[j].a_mask, self.nodes[j].b_mask)
+                label = "{" + ",".join(frag.h1_mask_labels(via)) + "}"
+            edges.append((i, j, label))
+        labels = [format_node(frag, node) for node in self.nodes]
+        return _dot_graph("strfiber", labels, edges)
 
 
 def _dot_quoted(text: str) -> str:
     """``text`` as a DOT quoted string: each backslash and double quote
     escaped with a backslash, every other character as it is."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _dot_graph(name: str, labels: list[str], edges: list) -> str:
+    """DOT text: node i is ``n<i>`` labelled ``labels[i]``, so equal labels
+    never merge nodes, and an edge (i, j, label or None) is n<i> -> n<j>."""
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f"  n{i} [label={_dot_quoted(label)}];"
+              for i, label in enumerate(labels)]
+    for i, j, label in edges:
+        attrs = "" if label is None else f" [label={_dot_quoted(label)}]"
+        lines.append(f"  n{i} -> n{j}{attrs};")
+    return "\n".join(lines) + "\n}\n"
 
 
 def format_node(fragment: PosetFragment, node: StrNode) -> str:

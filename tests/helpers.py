@@ -90,6 +90,21 @@ def leq(fragment: PosetFragment, x: ElementId, y: ElementId) -> bool:
     return False
 
 
+def member_by_elements(fragment: PosetFragment, a_mask: int,
+                       b_mask: int) -> bool:
+    """The member-pair definition over elements: A a nonempty set of curves
+    and B a nonempty set of points of the fragment, with some curve of A
+    below every point of B.  Any other pair of masks, empty, negative or
+    naming an element the fragment lacks, is no member pair."""
+    if a_mask <= 0 or b_mask <= 0:
+        return False
+    curves = [h1(i) for i in bits_of(a_mask)]
+    points = [h2(j) for j in bits_of(b_mask)]
+    if not set(curves + points) <= set(elements(fragment)):
+        return False
+    return any(all(leq(fragment, x, p) for p in points) for x in curves)
+
+
 def upper_set(fragment: PosetFragment, elems: Iterable[ElementId],
               strict: bool = False) -> frozenset[ElementId]:
     """Elements above every member of ``elems`` (all of X for the empty set).
@@ -710,7 +725,6 @@ def rho2_from_phi_by_node(phi: StrIso, *, fibers=None
     """
     trace = ReconstructionTrace()
     fx, fy = phi.fragment_x, phi.fragment_y
-    curves, points = set(range(fy.n1)), set(range(fy.n2))
     groups: dict[int, list[StrNode]] = {m: [] for m in range(fx.n2)}
     for node in phi.domain:
         if node.is_ray or node.b_mask.bit_count() != 1:
@@ -724,11 +738,8 @@ def rho2_from_phi_by_node(phi: StrIso, *, fibers=None
             continue
         node = groups[m][0]
         img = phi.map(node)
-        a, b = img.a_mask, img.b_mask
-        if not (a > 0 and b > 0 and set(bits_of(a)) <= curves
-                and set(bits_of(b)) <= points
-                and any(all(fy.up[x] >> n & 1 for n in bits_of(b))
-                        for x in bits_of(a))):
+        b = img.b_mask
+        if not member_by_elements(fy, img.a_mask, b):
             trace.conflicts.append(
                 {"kind": "image-not-member", "m": fx.h2_labels[m],
                  "node": node.to_json()})

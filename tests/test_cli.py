@@ -714,20 +714,41 @@ def test_dot_frozen(capsys, files):
     assert code == 0
     assert out == """digraph fragment {
   rankdir=BT;
-  "Min";
-  "a";
-  "b";
-  "c";
-  "d";
-  "e";
-  "Min" -> "a";
-  "Min" -> "b";
-  "Min" -> "c";
-  "a" -> "d";
-  "a" -> "e";
-  "b" -> "d";
-  "b" -> "e";
-  "c" -> "d";
+  n0 [label="Min"];
+  n1 [label="a"];
+  n2 [label="b"];
+  n3 [label="c"];
+  n4 [label="d"];
+  n5 [label="e"];
+  n0 -> n1;
+  n0 -> n2;
+  n0 -> n3;
+  n1 -> n4;
+  n1 -> n5;
+  n2 -> n4;
+  n2 -> n5;
+  n3 -> n4;
+}
+"""
+
+
+def test_dot_keeps_elements_with_equal_labels_apart(capsys, tmp_path):
+    # the minimum, the curve "Min" and the curve and point "u" are four
+    # drawn nodes joined by three covers: ids are positions, not labels
+    path = tmp_path / "repeated.json"
+    save_fragment(PosetFragment(2, 1, [(0, 0)], ["Min", "u"], ["u"]),
+                  str(path))
+    code, out, _ = run(capsys, "dot", str(path))
+    assert code == 0
+    assert out == """digraph fragment {
+  rankdir=BT;
+  n0 [label="Min"];
+  n1 [label="Min"];
+  n2 [label="u"];
+  n3 [label="u"];
+  n0 -> n1;
+  n0 -> n2;
+  n1 -> n3;
 }
 """
 
@@ -751,14 +772,14 @@ def test_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
     assert code == 0
     assert out == r"""digraph fragment {
   rankdir=BT;
-  "Min";
-  "a\"b";
-  "c\\";
-  "m";
-  "Min" -> "a\"b";
-  "Min" -> "c\\";
-  "a\"b" -> "m";
-  "c\\" -> "m";
+  n0 [label="Min"];
+  n1 [label="a\"b"];
+  n2 [label="c\\"];
+  n3 [label="m"];
+  n0 -> n1;
+  n0 -> n2;
+  n1 -> n3;
+  n2 -> n3;
 }
 """
     code, out, _ = run(capsys, "fiber", str(path), "--b", "m", "--dot")

@@ -102,6 +102,19 @@ def test_striso_probes_and_json(f0):
         StrIso.from_json(f0, f0, {"version": 7})
 
 
+def test_validate_counts_two_probes_per_entry(planted3):
+    # the node pass reads each entry once and counts its lookup and inverse
+    phi = induce_str_iso(relabel(planted3, 2)[1],
+                         DomainSpec(include_rays=True))
+    for audited in (phi, corrupt_str_iso(phi, 0), shuffle_images(phi, 0)):
+        for order_check in (False, True):
+            audited.probes = 5
+            audited.validate(order_check)
+            assert audited.probes == 5 + 2 * len(audited.table)
+    assert StrIso.from_json(planted3, phi.fragment_y,
+                            phi.to_json()).probes == 0
+
+
 def test_striso_stores_only_its_table(f0):
     phi = induce_str_iso(identity_iso(f0), DomainSpec(include_rays=True))
     assert not hasattr(phi, "__dict__")
@@ -435,6 +448,50 @@ def test_build_rho_falls_back_without_full_rays(planted3):
     rho = relabel(planted3, seed=2)[1]
     got, _ = build_rho(induce_str_iso(rho))
     assert got.h1_map == rho.h1_map and got.h2_map == rho.h2_map
+
+
+def test_build_rho_reads_rays_only_when_every_ray_is_a_key(planted3):
+    # the ray route needs ray_node(x) as a key for every curve x; one
+    # missing ray sends build_rho to the K-sets, and either way it agrees
+    # with the oracle stages
+    rho = relabel(planted3, seed=2)[1]
+    phi = induce_str_iso(rho, DomainSpec(include_rays=True))
+    missing = StrIso(planted3, rho.target,
+                     {n: img for n, img in phi.table.items()
+                      if n != ray_node(planted3, 4)})
+    for psi, ray_route in ((phi, True), (missing, False)):
+        def copy():
+            return StrIso(psi.fragment_x, psi.fragment_y, psi.table)
+
+        got, trace = build_rho(copy())
+        assert got == rho
+        assert all(node.is_ray is ray_route for node in trace.evidence)
+        fast = route_outcome(build_rho, copy())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reconstruction, "rho2_from_phi",
+                          rho2_from_phi_by_node)
+            patch.setattr(reconstruction, "rho1_from_psi",
+                          rho1_from_psi_by_curve)
+            assert fast == route_outcome(build_rho, copy())
+
+
+def test_build_rho_passes_a_bogus_ray_tag_to_the_k_sets(planted3):
+    # a key tagged as the ray of curve 4 that is not ray_node(4), in a map
+    # that skipped validation, does not count as that ray: the K-sets
+    # recover the map, and validate and from_json refuse the tag
+    rho = relabel(planted3, seed=2)[1]
+    phi = induce_str_iso(rho, DomainSpec(include_rays=True))
+    ray = ray_node(planted3, 4)
+    bogus = ray._replace(a_mask=planted3.all_h1_mask)
+    table = {bogus if n == ray else n: img for n, img in phi.table.items()}
+    assert {n.ray_of for n in table} - {None} == set(range(planted3.n1))
+    tagged = StrIso(planted3, rho.target, table)
+    got, trace = build_rho(tagged)
+    assert got == rho and not any(n.is_ray for n in trace.evidence)
+    assert tagged.validate(order_check=False) == [
+        f"domain node {bogus} is not the ray node of its curve"]
+    with pytest.raises(ValueError, match="not the ray node"):
+        StrIso.from_json(planted3, rho.target, tagged.to_json())
 
 
 def test_build_rho_reports_incidence_violation(f0):

@@ -12,15 +12,16 @@ from strposet import (GeneratorParams, PosetFragment, StrNode,
                       ray_node, str_leq, str_leq_bruteforce, str_member,
                       w_max)
 from strposet.core import bits_of, mask_of
-from strposet.structure import _bad, _down_set, _strict_rows, node_from_tuple
+from strposet.structure import (_bad, _down_set, _member, _strict_rows,
+                                node_from_tuple)
 
 from conftest import fragment_and_member, fragments
 from helpers import (SmallPoset, brute_down_set, brute_fhp,
                      brute_has_smaller, brute_mu, detect_I2, dominates_via,
                      down_indices, ell, eta, fiber_height_positive, h1, h2,
                      height_positive_by_order, index_of, join_above, leq,
-                     make_f0, make_f3, small_poset_isomorphic,
-                     to_small_poset)
+                     make_f0, make_f3, member_by_elements,
+                     small_poset_isomorphic, to_small_poset)
 
 
 def all_fibers(frag, amax=None):
@@ -48,6 +49,23 @@ def test_str_member(f0):
         str_member(f0, (0b1000, 0b01))
     with pytest.raises(ValueError):
         str_member(f0, (0b001, 0b100))
+
+
+@given(fragments(max_n1=5, max_n2=3), st.integers(-40, 80),
+       st.integers(-12, 20))
+@settings(max_examples=300, deadline=None)
+@example(PosetFragment(2, 1, [(0, 0)]), 0, 1)
+@example(PosetFragment(2, 1, [(0, 0)]), 1, -1)
+@example(PosetFragment(2, 1, [(0, 0)]), 0b101, 1)
+def test_member_is_the_element_definition(frag, a, b):
+    # one membership rule: empty, negative and out-of-tier masks are a plain
+    # no, and str_member raises exactly where a mask leaves its tier
+    assert _member(frag, a, b) is member_by_elements(frag, a, b)
+    if a < 0 or b < 0 or a >> frag.n1 or b >> frag.n2:
+        with pytest.raises(ValueError, match="is not an h[12] mask"):
+            str_member(frag, (a, b))
+    else:
+        assert str_member(frag, (a, b)) is _member(frag, a, b)
 
 
 def test_w_max_frozen(f0):
