@@ -17,12 +17,11 @@ from .models import (FragmentFormatError, GeneratorParams,
                      affine_plane_fragment, cusp_fragment, dumps_fragment,
                      fragment_from_json, fragment_to_json, json_text,
                      load_fragment, random_fragment, save_fragment)
-from .reconstruction import (DomainSpec, FactorizationReport,
-                             ReconstructionError, ReconstructionTrace,
-                             RoundTripResult, StrIso, build_rho,
-                             corrupt_str_iso, induce_str_iso, rho1_from_psi,
-                             rho1_from_rays, rho2_from_phi, round_trip,
-                             verify_factorization)
+from .reconstruction import (DomainSpec, ReconstructionError,
+                             ReconstructionTrace, RoundTripResult, StrIso,
+                             build_rho, corrupt_str_iso, induce_str_iso,
+                             rho1_from_psi, rho1_from_rays, rho2_from_phi,
+                             round_trip, verify_factorization)
 
 __version__ = "0.1.0"
 
@@ -40,7 +39,7 @@ __all__ = [
     "cusp_fragment", "dumps_fragment", "fragment_from_json",
     "fragment_to_json", "json_text", "load_fragment", "random_fragment",
     "save_fragment",
-    "DomainSpec", "FactorizationReport", "ReconstructionError",
+    "DomainSpec", "ReconstructionError",
     "ReconstructionTrace", "RoundTripResult", "StrIso", "build_rho",
     "corrupt_str_iso", "induce_str_iso", "rho1_from_psi", "rho1_from_rays",
     "rho2_from_phi", "round_trip", "verify_factorization",

@@ -63,7 +63,7 @@ class ReconstructionTrace:
 
 class ReconstructionError(Exception):
     """Raised by ``build_rho`` when the pipeline cannot produce a single
-    consistent map; the trace's conflicts say why."""
+    consistent map that factors phi; the trace's conflicts say why."""
 
     def __init__(self, message: str, trace: ReconstructionTrace):
         super().__init__(message)
@@ -256,9 +256,8 @@ def rho2_from_phi(phi: StrIso, *, fibers: list[list[StrNode]] | None = None
     up (one probe) and names it: its image must be a member pair of
     fragment_y over a single point.  An image that is not, an empty fiber
     and a point map that is no bijection become conflicts.  The fiber's
-    other nodes are not read; whether each node lands where the assembled
-    map says is ``verify_factorization``'s audit.  ``fibers`` is that list
-    when the caller has it.
+    other nodes are not read; ``build_rho`` checks each node against the
+    assembled map.  ``fibers`` is that list when the caller has it.
     """
     trace = ReconstructionTrace()
     fx, fy = phi.fragment_x, phi.fragment_y
@@ -346,6 +345,16 @@ def _fiber_k_sets(fx: PosetFragment, b: int, keys: Iterable[StrNode],
     return sorted(k_sets, key=lambda node: list(bits_of(node[0])))
 
 
+def _refuse_k_cap(k_cap: int, rays: bool = False) -> None:
+    """The one "k_cap can never recover" rule: ValueError for a cap below 2,
+    since K-sets have at least two curves, or with rays below 1, since
+    every fiber still needs a node."""
+    if k_cap < (1 if rays else 2):
+        raise ValueError(f"k_cap {k_cap} can never recover: " + (
+            "every fiber needs a node; use k_cap >= 1" if rays else
+            "K-sets have at least two curves; use k_cap >= 2 or rays"))
+
+
 def rho1_from_psi(psi: StrIso, size_cap: int = 3, *,
                   fibers: list[list[StrNode]] | None = None
                   ) -> tuple[dict[int, int], ReconstructionTrace]:
@@ -373,9 +382,7 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3, *,
     ``_singleton_fibers(psi)`` when the caller has it.  A size_cap below 2
     admits no K-set and raises ValueError.
     """
-    if size_cap < 2:
-        raise ValueError(f"k_cap {size_cap} can never recover: K-sets have "
-                         "at least two curves; use k_cap >= 2 or rays")
+    _refuse_k_cap(size_cap)
     trace = ReconstructionTrace()
     fx, fy = psi.fragment_x, psi.fragment_y
     table, evidence, images = psi.table, trace.evidence, trace.images
@@ -437,13 +444,13 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3, *,
 
 
 def rho1_from_rays(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
-    """Curve map read directly off ray images; a missing ray is a conflict."""
+    """Curve map read directly off ray images; a missing ray, as of a curve
+    with no point above it, is a conflict."""
     trace = ReconstructionTrace()
     fx = phi.fragment_x
     rho1: dict[int, int] = {}
     for x in range(fx.n1):
-        ray = ray_node(fx, x)
-        if ray not in phi.table:
+        if not fx.up[x] or (ray := ray_node(fx, x)) not in phi.table:
             trace.conflicts.append({"kind": "ray-not-in-domain",
                                     "x": fx.h1_labels[x]})
             continue
@@ -463,17 +470,18 @@ def rho1_from_rays(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
 
 def build_rho(phi: StrIso, size_cap: int = 3, prefer_rays: bool = True
               ) -> tuple[IsoMap, ReconstructionTrace]:
-    """Assemble the fragment isomorphism, or raise with the full trace.
+    """Assemble the fragment isomorphism and certify it, or raise with the
+    full trace.
 
     The only raise of the pipeline: failure never yields a partial or
-    guessed map, and the conflicts of both stages, or an incidence
-    violation of the assembled map, surface in the merged trace.  The
-    table is walked for its singleton fibers once, for both stages.  The
-    curve map comes off the rays if ``prefer_rays`` and ``ray_node`` of
-    every curve is a key, else off the K-sets.  The stages read one witness
-    per fiber and the K-sets a curve needs, not every node, so a returned
-    map is certified only by ``verify_factorization``, which ``round_trip``
-    and ``reconstruct`` both run on it.
+    guessed map, and the conflicts of both stages, an incidence violation
+    of the assembled map or the nodes it does not factor surface in the
+    merged trace.  The table is walked for its singleton fibers once, for
+    both stages.  The curve map comes off the rays if ``prefer_rays`` and
+    ``ray_node`` of every curve is a key, else off the K-sets.  The stages
+    read one witness per fiber and the K-sets a curve needs, not every
+    node, so the assembled map is then checked node by node with
+    ``verify_factorization``, and a map that is returned factors phi.
     """
     fibers = _singleton_fibers(phi)
     rho2, trace = rho2_from_phi(phi, fibers=fibers)
@@ -495,28 +503,18 @@ def build_rho(phi: StrIso, size_cap: int = 3, prefer_rays: bool = True
         trace.conflicts.append({"kind": "incidence-violation",
                                 "detail": str(exc)})
         raise ReconstructionError(str(exc), trace) from exc
+    if violations := verify_factorization(phi, iso):
+        trace.conflicts.extend(violations)
+        raise ReconstructionError("conflicting evidence; see trace", trace)
     return iso, trace
 
 
-@dataclass(slots=True)
-class FactorizationReport:
-    checked: int
-    violations: list
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {"version": 1, "checked": self.checked,
-                "clean": self.clean, "violations": list(self.violations)}
-
-
-def verify_factorization(phi: StrIso, rho: IsoMap) -> FactorizationReport:
+def verify_factorization(phi: StrIso, rho: IsoMap) -> list[dict]:
     """Check phi(A, B) = (rho A, rho B) nodewise, a ray node's tag carried
-    along; mismatches report the pulled-back ordinates of the actual image
-    next to A and B, where curves and points outside fragment_y, having no
-    preimage, are left out.  Every node is one probe."""
+    along, and list a ``factorization-violation`` conflict per mismatch:
+    the node, its image, the expected image and the pulled-back ordinates
+    of the actual image, where curves and points outside fragment_y,
+    having no preimage, are left out.  Every node is one probe."""
     h1, h2, inv = rho.h1_map, rho.h2_map, rho.inverse()
     all1, all2 = rho.target.all_h1_mask, rho.target.all_h2_mask
     b_images: dict[int, int] = {}
@@ -530,12 +528,13 @@ def verify_factorization(phi: StrIso, rho: IsoMap) -> FactorizationReport:
             a_star = inv.h1_mask_image(img.a_mask & all1)
             b_star = inv.h2_mask_image(img.b_mask & all2)
             violations.append(
-                {"node": node.to_json(), "image": img.to_json(),
+                {"kind": "factorization-violation", "node": node.to_json(),
+                 "image": img.to_json(),
                  "expected": StrNode(*expected).to_json(),
                  "a_star": list(bits_of(a_star)),
                  "b_star": list(bits_of(b_star))})
     phi.probes += len(phi.table)
-    return FactorizationReport(len(phi.table), violations)
+    return violations
 
 
 # -- relabel round trip -------------------------------------------------------
@@ -558,17 +557,14 @@ def round_trip(fragment: PosetFragment, seed: int, psi_only: bool = True,
                k_cap: int = 3, corrupt: bool = False) -> RoundTripResult:
     """Relabel with a hidden map, induce the node map, reconstruct, compare.
 
-    ``recovered`` demands the exact hidden map back plus a clean
-    factorization check; with ``corrupt`` the induced map is damaged first
-    to exercise the conflict paths.  The run is its own recoverability
-    test, and one that does not recover lists a conflict; a damaged map
-    that another relabeling induces gives ``not-the-hidden-map``.  A k_cap
-    that can never recover raises ValueError.
+    ``recovered`` demands that ``build_rho`` returns, so certifies, the
+    exact hidden map; with ``corrupt`` the induced map is damaged first to
+    exercise the conflict paths.  The run is its own recoverability test,
+    and one that does not recover lists a conflict; a damaged map that
+    another relabeling induces gives ``not-the-hidden-map``.  A k_cap that
+    can never recover raises ValueError.
     """
-    if k_cap < (2 if psi_only else 1):
-        raise ValueError(f"k_cap {k_cap} can never recover: " + (
-            "K-sets have at least two curves; use k_cap >= 2 or rays"
-            if psi_only else "every fiber needs a node; use k_cap >= 1"))
+    _refuse_k_cap(k_cap, rays=not psi_only)
     _, rho_star = relabel(fragment, seed)
     spec = DomainSpec(k_cap=k_cap, include_rays=not psi_only)
     phi = induce_str_iso(rho_star, spec)
@@ -578,9 +574,8 @@ def round_trip(fragment: PosetFragment, seed: int, psi_only: bool = True,
         rho_hat, _ = build_rho(phi, size_cap=k_cap, prefer_rays=not psi_only)
     except ReconstructionError as exc:
         return RoundTripResult(False, list(exc.trace.conflicts), phi.probes)
-    conflicts = verify_factorization(phi, rho_hat).violations
-    if not conflicts and rho_hat != rho_star:
-        # the damage made phi the induced map of another relabeling
-        conflicts.append({"kind": "not-the-hidden-map",
-                          "rho": rho_hat.to_json()})
-    return RoundTripResult(not conflicts, conflicts, phi.probes)
+    if rho_hat == rho_star:
+        return RoundTripResult(True, [], phi.probes)
+    # the damage made phi the induced map of another relabeling
+    return RoundTripResult(False, [{"kind": "not-the-hidden-map",
+                                    "rho": rho_hat.to_json()}], phi.probes)

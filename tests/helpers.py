@@ -16,11 +16,11 @@ from itertools import (combinations, combinations_with_replacement, groupby,
                        permutations)
 from typing import Iterable, Optional, Sequence
 
-from strposet import (DomainSpec, FactorizationReport, FiberView, IsoMap,
-                      PosetFragment, ReconstructionError,
-                      ReconstructionTrace, StrIso, StrNode, bits_of,
-                      find_j3_witness, finite_node, mask_of, ray_node,
-                      rho1_from_psi, str_leq_bruteforce, str_member, w_max)
+from strposet import (DomainSpec, FiberView, IsoMap, PosetFragment,
+                      ReconstructionError, ReconstructionTrace, StrIso,
+                      StrNode, bits_of, find_j3_witness, finite_node,
+                      mask_of, ray_node, rho1_from_psi, str_leq_bruteforce,
+                      str_member, w_max)
 from strposet.structure import ENUM_CAP, NodeLike, require_member
 
 
@@ -814,11 +814,11 @@ def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3, *, fibers=None
     return rho1, trace
 
 
-def verify_factorization_by_node(phi: StrIso, rho: IsoMap
-                                 ) -> FactorizationReport:
-    """Check phi(A, B) = (rho A, rho B) nodewise; mismatches report the
-    pulled-back ordinates of the actual image next to A and B, skipping
-    curves and points that fragment_y does not have."""
+def verify_factorization_by_node(phi: StrIso, rho: IsoMap) -> list[dict]:
+    """Check phi(A, B) = (rho A, rho B) nodewise; each mismatch is a
+    ``factorization-violation`` conflict that reports the pulled-back
+    ordinates of the actual image next to A and B, skipping curves and
+    points that fragment_y does not have."""
     inv = rho.inverse()
     violations = []
     for node in phi.domain:
@@ -826,13 +826,13 @@ def verify_factorization_by_node(phi: StrIso, rho: IsoMap
         expected = _rho_image(rho, node)
         if img != expected:
             violations.append(
-                {"node": node.to_json(), "image": img.to_json(),
-                 "expected": expected.to_json(),
+                {"kind": "factorization-violation", "node": node.to_json(),
+                 "image": img.to_json(), "expected": expected.to_json(),
                  "a_star": sorted(inv.h1_map[y] for y in bits_of(img.a_mask)
                                   if y < len(inv.h1_map)),
                  "b_star": sorted(inv.h2_map[y] for y in bits_of(img.b_mask)
                                   if y < len(inv.h2_map))})
-    return FactorizationReport(len(phi.domain), violations)
+    return violations
 
 
 def extend_psi_to_phi(psi: StrIso, size_cap: int = 3) -> StrIso:

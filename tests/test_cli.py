@@ -488,11 +488,24 @@ def cusp_ray7_pairs() -> list:
     return pairs
 
 
-def test_reconstruct_corrupt_map(capsys, files):
+def test_reconstruct_corrupt_map(capsys, files, tmp_path):
     code, data = run_json(capsys, "reconstruct", files["p3"], files["p3y"],
                           "--map", files["map_bad"])
     assert code == 1 and data["recovered"] is False
     assert data["conflicts"]
+    # swapped away from the fiber witnesses, the damage reaches the
+    # assembled map: the same error shape, one conflict per swapped node
+    fx = load_fragment(files["p3"])
+    swapped = corrupt_str_iso(induce_str_iso(relabel(fx, 7)[1]), seed=1)
+    path = tmp_path / "map_swapped.json"
+    path.write_text(json.dumps(swapped.to_json()), encoding="utf-8")
+    code, data = run_json(capsys, "reconstruct", files["p3"], files["p3y"],
+                          "--map", str(path))
+    assert code == 1 and list(data) == ["version", "recovered", "error",
+                                        "conflicts", "probes", "trace"]
+    assert data["recovered"] is False
+    assert [c["kind"] for c in data["conflicts"]] == [
+        "factorization-violation"] * 2
 
 
 def test_reconstruct_rejects_bad_map_files(capsys, files):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -303,22 +304,25 @@ def test_rho2_records_images_outside_fragment_y(f0):
 
 
 def test_factorization_reports_images_outside_fragment_y(f0):
-    # neither stage reads the second node over point d, so build_rho returns
-    # the identity; the factorization check reports the damaged image and
-    # pulls back only the curve and point that f0 has
+    # neither stage reads the second node over point d, so build_rho
+    # assembles the identity; its factorization check reports the damaged
+    # image, pulling back only the curve and point that f0 has, and raises
     phi = induce_str_iso(identity_iso(f0), DomainSpec(include_rays=True))
     node = finite_node(0b010, 0b01)
     assert reconstruction._singleton_fibers(phi)[0][1] == node
     table = dict(phi.table)
     table[node] = finite_node(0b100010, 0b1001)
     bad = StrIso(f0, f0, table)
-    rho, _ = build_rho(bad)
-    assert rho == identity_iso(f0)
-    report = verify_factorization(bad, rho).to_json()
-    assert report["violations"] == [
-        {"node": node.to_json(), "image": table[node].to_json(),
-         "expected": node.to_json(), "a_star": [1], "b_star": [0]}]
-    assert verify_factorization_by_node(bad, rho).to_json() == report
+    with pytest.raises(ReconstructionError, match="conflicting evidence") \
+            as err:
+        build_rho(bad)
+    violations = [
+        {"kind": "factorization-violation", "node": node.to_json(),
+         "image": table[node].to_json(), "expected": node.to_json(),
+         "a_star": [1], "b_star": [0]}]
+    assert err.value.trace.conflicts == violations
+    assert verify_factorization(bad, identity_iso(f0)) == violations
+    assert verify_factorization_by_node(bad, identity_iso(f0)) == violations
 
 
 def test_rho2_requires_every_fiber(f0):
@@ -411,11 +415,13 @@ def test_rho1_from_rays(f3):
 
 
 def test_rho1_from_rays_requires_rays(f3):
-    psi = induce_str_iso(identity_iso(f3))
-    rho1, trace = rho1_from_rays(psi)
-    assert rho1 == {} and trace.evidence == trace.images == []
-    assert trace.conflicts == [{"kind": "ray-not-in-domain", "x": label}
-                               for label in f3.h1_labels]
+    # curve 1 of the second fragment lies below no point, so it has no ray
+    # node: a conflict as well, not a ValueError from ray_node
+    for frag in (f3, PosetFragment(2, 1, [(0, 0)])):
+        rho1, trace = rho1_from_rays(induce_str_iso(identity_iso(frag)))
+        assert rho1 == {} and trace.evidence == trace.images == []
+        assert trace.conflicts == [{"kind": "ray-not-in-domain", "x": label}
+                                   for label in frag.h1_labels]
 
 
 def test_rho1_flags_nonray_images(f0):
@@ -478,7 +484,8 @@ def test_build_rho_reads_rays_only_when_every_ray_is_a_key(planted3):
 def test_build_rho_passes_a_bogus_ray_tag_to_the_k_sets(planted3):
     # a key tagged as the ray of curve 4 that is not ray_node(4), in a map
     # that skipped validation, does not count as that ray: the K-sets
-    # recover the map, and validate and from_json refuse the tag
+    # assemble the hidden map, the bogus key is the one node it does not
+    # factor, and validate and from_json refuse the tag
     rho = relabel(planted3, seed=2)[1]
     phi = induce_str_iso(rho, DomainSpec(include_rays=True))
     ray = ray_node(planted3, 4)
@@ -486,8 +493,13 @@ def test_build_rho_passes_a_bogus_ray_tag_to_the_k_sets(planted3):
     table = {bogus if n == ray else n: img for n, img in phi.table.items()}
     assert {n.ray_of for n in table} - {None} == set(range(planted3.n1))
     tagged = StrIso(planted3, rho.target, table)
-    got, trace = build_rho(tagged)
-    assert got == rho and not any(n.is_ray for n in trace.evidence)
+    with pytest.raises(ReconstructionError, match="conflicting evidence") \
+            as err:
+        build_rho(tagged)
+    trace = err.value.trace
+    assert trace.conflicts == verify_factorization(tagged, rho)
+    assert [c["node"] for c in trace.conflicts] == [bogus.to_json()]
+    assert not any(n.is_ray for n in trace.evidence)
     assert tagged.validate(order_check=False) == [
         f"domain node {bogus} is not the ray node of its curve"]
     with pytest.raises(ValueError, match="not the ray node"):
@@ -555,18 +567,17 @@ def test_build_rho_allocates_a_small_share_of_the_table():
 def test_verify_factorization_clean(f3):
     rho = relabel(f3, seed=4)[1]
     phi = induce_str_iso(rho, DomainSpec(include_rays=True))
-    report = verify_factorization(phi, rho)
-    assert report.clean and report.checked == len(phi.domain)
-    assert report.to_json()["clean"] is True
+    assert verify_factorization(phi, rho) == []
+    assert phi.probes == len(phi.table)
 
 
 def test_verify_factorization_catches_damage(f0):
     phi = corrupt_str_iso(induce_str_iso(identity_iso(f0)), seed=0)
-    report = verify_factorization(phi, identity_iso(f0))
-    assert not report.clean
-    assert len(report.violations) == 2
-    first = report.violations[0]
-    assert set(first) == {"node", "image", "expected", "a_star", "b_star"}
+    violations = verify_factorization(phi, identity_iso(f0))
+    assert len(violations) == 2
+    assert list(violations[0]) == ["kind", "node", "image", "expected",
+                                   "a_star", "b_star"]
+    assert {v["kind"] for v in violations} == {"factorization-violation"}
 
 
 # -- fiber-wise routes against the node-by-node oracles -----------------------
@@ -645,8 +656,8 @@ def assert_routes_agree(rho, spec, damage="honest", seed=0):
     other = relabel(rho.source, seed + 1)[1]
     for hypothesis in (rho, other):
         fast, slow = copy(), copy()
-        assert verify_factorization(fast, hypothesis).to_json() == \
-            verify_factorization_by_node(slow, hypothesis).to_json()
+        assert verify_factorization(fast, hypothesis) == \
+            verify_factorization_by_node(slow, hypothesis)
         assert fast.probes == slow.probes == len(phi.domain)
 
 
@@ -814,13 +825,26 @@ def test_census_validate_matches_all_pairs():
     assert maps > 2 * len(CENSUS)
 
 
+# The conflict kinds the README's reconstruct-report paragraph lists.
+CONFLICT_KINDS = {
+    "image-not-member", "image-fiber-not-singleton", "rho2-not-bijective",
+    "empty-fiber", "image-not-k-set", "rho1-ambiguous", "ray-image-not-ray",
+    "no-k-set", "ray-not-in-domain", "incidence-violation",
+    "factorization-violation", "not-the-hidden-map"}
+
+
 def test_corrupted_census_maps_never_recover():
     """Every class up to 5 curves and 3 points, psi-only at k_cap 2 and 3,
     seeds 0-2, with the images of two nodes of different fibers swapped:
-    no round trip recovers and each lists a conflict.  rho2 reads one
-    witness per fiber, so a swap elsewhere reaches build_rho's map; then
-    the factorization check names both swapped nodes."""
-    runs = built = 0
+    no round trip recovers, each lists a conflict, and every conflict of a
+    run or of a ``build_rho`` error has a README-listed kind.  rho2 reads
+    one witness per fiber, so a swap elsewhere reaches build_rho's map;
+    then its factorization check names both swapped nodes.  A map that
+    build_rho returns factors the damaged map at every node."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    assert all(f"`{kind}`" in readme for kind in CONFLICT_KINDS)
+    runs = audited = 0
     for frag in CENSUS:
         for seed in (0, 1, 2):
             rho = relabel(frag, seed)[1]
@@ -830,23 +854,29 @@ def test_corrupted_census_maps_never_recover():
                     bad = corrupt_str_iso(phi, seed)
                 except ValueError:      # a single fiber: nothing to swap
                     continue
+                case = frag.up, seed, k_cap
                 result = round_trip(frag, seed, k_cap=k_cap, corrupt=True)
-                assert not result.recovered and result.conflicts, (
-                    frag.up, seed, k_cap)
+                assert not result.recovered and result.conflicts, case
+                assert all(c.get("kind") in CONFLICT_KINDS
+                           for c in result.conflicts), case
                 runs += 1
                 swapped = [node.to_json() for node, img in phi.table.items()
                            if bad.table[node] != img]
                 assert len(swapped) == 2
                 try:
                     found, _ = build_rho(bad, k_cap, False)
-                except ReconstructionError:
+                except ReconstructionError as exc:
+                    conflicts = exc.trace.conflicts
+                    assert conflicts and all(c.get("kind") in CONFLICT_KINDS
+                                             for c in conflicts), case
+                    named = [c["node"] for c in conflicts
+                             if c["kind"] == "factorization-violation"]
+                    if named:
+                        assert all(node in named for node in swapped), case
+                        audited += 1
                     continue
-                named = [v["node"] for v in
-                         verify_factorization(bad, found).violations]
-                assert all(node in named for node in swapped), (
-                    frag.up, seed, k_cap)
-                built += 1
-    assert runs > 0 and built > 0
+                assert verify_factorization(bad, found) == [], case
+    assert runs > 0 and audited > 0
 
 
 # -- psi to phi ---------------------------------------------------------------
