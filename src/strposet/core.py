@@ -43,6 +43,16 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def bit_list(mask: int) -> list[int]:
+    """``list(bits_of(mask))`` walked inline: a fresh list per call."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def mask_image(mask: int, table: Sequence[int]) -> int:
     """Mask of ``table[i]`` over the set bits i of ``mask``: the image of a
     tier subset under an index map, walked inline (no generators)."""

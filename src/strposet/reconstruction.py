@@ -17,12 +17,13 @@ import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations, groupby, islice, tee
+from itertools import groupby, islice, repeat, tee
 from math import comb
 from operator import itemgetter, le
 from typing import Iterable
 
-from .core import IsoMap, PosetFragment, bits_of, mask_image, relabel
+from .core import (IsoMap, PosetFragment, bit_list, bits_of, mask_image,
+                   relabel)
 from .structure import (StrNode, _member, _strict_rows, node_from_tuple,
                         ray_node)
 
@@ -216,26 +217,30 @@ def induce_str_iso(rho: IsoMap, spec: DomainSpec = DomainSpec()) -> StrIso:
             level = [(a | bit, a_img | img_bit, j + 1)
                      for a, a_img, lo in level
                      for j, (bit, img_bit) in enumerate(bits[lo:], lo)]
-            table.update({node_from_tuple((k, b, None)):
-                          node_from_tuple((k_img, b_img, None))
-                          for k, k_img, _ in level})
+            keys, images, _ = zip(*level)
+            table.update(zip(
+                map(node_from_tuple, zip(keys, repeat(b), repeat(None))),
+                map(node_from_tuple, zip(images, repeat(b_img),
+                                         repeat(None)))))
     for x in range(fx.n1 if spec.include_rays else 0):
         table[ray_node(fx, x)] = ray_node(rho.target, h1[x])
     return StrIso(fx, rho.target, table)
 
 
 def corrupt_str_iso(phi: StrIso, seed: int = 0) -> StrIso:
-    """Swap the images of two finite domain nodes from different fibers;
-    for exercising conflict reporting."""
+    """Swap the images of one finite node in each of two fibers drawn with
+    a seeded RNG; for exercising conflict reporting."""
+    fibers: dict[int, list[StrNode]] = {}
+    for (b, ray), run in groupby(phi.table, itemgetter(1, 2)):
+        if ray is None:
+            fibers.setdefault(b, []).extend(run)
+    if len(fibers) < 2:
+        raise ValueError("domain has no two nodes in different fibers")
     rng = random.Random(seed)
-    finite = [n for n in phi.table if not n.is_ray]
-    rng.shuffle(finite)
-    for u, v in combinations(finite, 2):
-        if u.b_mask != v.b_mask:
-            table = dict(phi.table)
-            table[u], table[v] = table[v], table[u]
-            return StrIso(phi.fragment_x, phi.fragment_y, table)
-    raise ValueError("domain has no two nodes in different fibers")
+    u, v = [rng.choice(fibers[b]) for b in rng.sample(list(fibers), 2)]
+    table = dict(phi.table)
+    table[u], table[v] = table[v], table[u]
+    return StrIso(phi.fragment_x, phi.fragment_y, table)
 
 
 def _singleton_fibers(phi: StrIso) -> list[list[StrNode]]:
@@ -342,7 +347,7 @@ def _fiber_k_sets(fx: PosetFragment, b: int, keys: Iterable[StrNode],
         prev = a
     if in_order:
         return k_sets
-    return sorted(k_sets, key=lambda node: list(bits_of(node[0])))
+    return sorted(k_sets, key=lambda node: bit_list(node[0]))
 
 
 def _refuse_k_cap(k_cap: int, rays: bool = False) -> None:
@@ -363,10 +368,10 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3, *,
     The K-sets are the keys (K, {b}) of the singleton fibers with
     2 <= |K| <= size_cap, K inside fragment_x and mub(K) = {b}.  They are
     taken size by size across all points, pairs first, then by point and
-    lexicographic K.  A curve is pinned once a K-set holds it and its image
-    intersection is a single curve at the end of a size; it cites no K-set
-    of a larger size.  A K-set is looked up only if it holds an unpinned
-    curve: its image is tested once, the table's own key and image go to
+    lexicographic K.  A curve is pinned by the first K-set after which its
+    image intersection is a single curve, and cites no later K-set.  A
+    K-set is looked up only if it holds an unpinned curve when its turn
+    comes: its image is tested once, the table's own key and image go to
     ``trace.evidence`` and ``trace.images``, and only its unpinned curves
     cite it.  The pass stops at size_cap or when every curve is pinned, so
     each curve's evidence depends on that curve alone.  A curve takes the
@@ -375,7 +380,7 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3, *,
 
     The image intersection always contains the true image, so a singleton
     answer is correct whenever psi really is induced by a relabeling, and a
-    larger K-set cannot change it; a larger intersection is recorded as an
+    later K-set cannot change it; a larger intersection is recorded as an
     ambiguity, never guessed at.  Only K-sets psi actually tabulates count
     as evidence; a curve that none holds is a ``no-k-set`` conflict, as on
     a map file over a truncated domain.  ``fibers`` is
@@ -399,9 +404,11 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3, *,
             if not fx.down[b] & unpinned:
                 continue
             run = islice(keys, starts[size - 2], starts[size - 1])
+            # the list was filtered with the mask of the run's start
             for key in _fiber_k_sets(fx, b, run, unpinned):
-                position, cited = len(evidence), key[0] & unpinned
-                img = table[key]
+                if not (cited := key[0] & unpinned):
+                    continue
+                position, img = len(evidence), table[key]
                 evidence.append(key)
                 images.append(img)
                 a, b_img, _ = img
@@ -412,10 +419,9 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3, *,
                     x = low.bit_length() - 1
                     held[x].append(position)
                     inter[x] &= a
+                    if inter[x].bit_count() == 1:
+                        unpinned ^= low
                     cited ^= low
-        for x in bits_of(unpinned):
-            if held[x] and inter[x].bit_count() == 1:
-                unpinned ^= 1 << x
         if not unpinned:
             break
     rho1: dict[int, int] = {}
@@ -430,7 +436,7 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3, *,
                     {"kind": "image-not-k-set", "x": fx.h1_labels[x],
                      "node": evidence[i].to_json(),
                      "image": images[i].to_json()})
-        entry = {"intersection": list(bits_of(meet)), "evidence": positions}
+        entry = {"intersection": bit_list(meet), "evidence": positions}
         if meet.bit_count() == 1:
             rho1[x] = meet.bit_length() - 1
             entry["image"] = rho1[x]
@@ -514,16 +520,22 @@ def verify_factorization(phi: StrIso, rho: IsoMap) -> list[dict]:
     along, and list a ``factorization-violation`` conflict per mismatch:
     the node, its image, the expected image and the pulled-back ordinates
     of the actual image, where curves and points outside fragment_y,
-    having no preimage, are left out.  Every node is one probe."""
+    having no preimage, are left out.  Every node is one probe.  The image
+    of K without its last curve is carried in table order, which keeps an
+    induced table's prefixes together, and recomputed when it changes."""
     h1, h2, inv = rho.h1_map, rho.h2_map, rho.inverse()
     all1, all2 = rho.target.all_h1_mask, rho.target.all_h2_mask
-    b_images: dict[int, int] = {}
+    prefix = prefix_img = b_prev = b_img = 0
     violations = []
     for node, img in phi.table.items():
         a, b, ray = node
-        if (b_img := b_images.get(b)) is None:
-            b_img = b_images[b] = mask_image(b, h2)
-        expected = (mask_image(a, h1), b_img, None if ray is None else h1[ray])
+        if b != b_prev:
+            b_prev, b_img = b, mask_image(b, h2)
+        last = a.bit_length() - 1       # -1 for an empty K, never shifted
+        if a and (head := a ^ 1 << last) != prefix:
+            prefix, prefix_img = head, mask_image(head, h1)
+        expected = (prefix_img | 1 << h1[last] if a else 0, b_img,
+                    None if ray is None else h1[ray])
         if img != expected:
             a_star = inv.h1_mask_image(img.a_mask & all1)
             b_star = inv.h2_mask_image(img.b_mask & all2)
@@ -531,8 +543,7 @@ def verify_factorization(phi: StrIso, rho: IsoMap) -> list[dict]:
                 {"kind": "factorization-violation", "node": node.to_json(),
                  "image": img.to_json(),
                  "expected": StrNode(*expected).to_json(),
-                 "a_star": list(bits_of(a_star)),
-                 "b_star": list(bits_of(b_star))})
+                 "a_star": bit_list(a_star), "b_star": bit_list(b_star)})
     phi.probes += len(phi.table)
     return violations
 

@@ -22,7 +22,7 @@ from itertools import combinations
 from types import MethodType
 from typing import NamedTuple, Optional, Union
 
-from .core import HARD_MAX_TIER, PosetFragment, bits_of, mask_of
+from .core import HARD_MAX_TIER, PosetFragment, bit_list, bits_of, mask_of
 
 ENUM_CAP = 16    # largest set whose subsets a walk may visit
 
@@ -49,8 +49,7 @@ class StrNode(NamedTuple):
         return self.a_mask, self.b_mask
 
     def to_json(self) -> dict:
-        return {"a": list(bits_of(self.a_mask)),
-                "b": list(bits_of(self.b_mask)),
+        return {"a": bit_list(self.a_mask), "b": bit_list(self.b_mask),
                 "ray": self.ray_of}
 
     @classmethod

@@ -12,7 +12,7 @@ paper constructions that no verb runs, such as ``dominates_via``,
 
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import (combinations, combinations_with_replacement, groupby,
+from itertools import (combinations, combinations_with_replacement,
                        permutations)
 from typing import Iterable, Optional, Sequence
 
@@ -765,7 +765,7 @@ def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3, *, fibers=None
 
     Each curve's literal K-sets up to ``size_cap`` that psi tabulates are
     taken by size, then point, then lexicographic K, and the curve stops
-    after the first size at whose end its image intersection is a single
+    after the first K-set at which its image intersection is a single
     curve.  Each (curve, K-set) pair is one ``psi.map`` call whose node and
     image are appended to ``trace.evidence`` and ``trace.images``, so a
     K-set cited by several curves is listed once per curve.  The image
@@ -786,19 +786,18 @@ def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3, *, fibers=None
             continue
         evidence = []
         inter = fy.all_h1_mask
-        for _, run in groupby(nodes, key=lambda n: n.a_mask.bit_count()):
-            for node in run:
-                img = psi.map(node)
-                evidence.append(len(trace.evidence))
-                trace.evidence.append(node)
-                trace.images.append(img)
-                if (img.b_mask.bit_count() != 1
-                        or img.a_mask.bit_count() < 2
-                        or fy.common_h2_above(img.a_mask) != img.b_mask):
-                    trace.conflicts.append(
-                        {"kind": "image-not-k-set", "x": fx.h1_labels[x],
-                         "node": node.to_json(), "image": img.to_json()})
-                inter &= img.a_mask
+        for node in nodes:
+            img = psi.map(node)
+            evidence.append(len(trace.evidence))
+            trace.evidence.append(node)
+            trace.images.append(img)
+            if (img.b_mask.bit_count() != 1
+                    or img.a_mask.bit_count() < 2
+                    or fy.common_h2_above(img.a_mask) != img.b_mask):
+                trace.conflicts.append(
+                    {"kind": "image-not-k-set", "x": fx.h1_labels[x],
+                     "node": node.to_json(), "image": img.to_json()})
+            inter &= img.a_mask
             if inter.bit_count() == 1:
                 break
         entry = {"intersection": list(bits_of(inter)), "evidence": evidence}

@@ -356,12 +356,12 @@ def test_reconstruct_output_bytes_frozen(capsys, files):
                          "--map", files["map"])
     assert code == 0 and err == ""
     assert digest(json_text(spell_trace(json.loads(out)))) == (
-        "292875500c6e1466164128d8d1df5d3cd48df2337c60a22cadd52d9a5965e064")
+        "8c3e861183bad72484165260972054a4b7078713459b1971c116089504e66de5")
 
 
 @pytest.mark.parametrize("map_file,rc,sha256", [
     ("map_bad", 1,      # conflicts, the error and its trace
-     "bd59047664a9ad6cef56b654d0b3d62925e1afe55ae3e050653eb224c269fc28"),
+     "60d50a932296a9f9b9b876dcf28b348d4a4199bd5acaa080c00f228ab4e360bb"),
     ("map_rays", 0,     # the curve map read off the rays
      "7eb2911caca6a33d3e36303c508201bc96d36dc15e312e4f96e2c2038dcf04bf"),
 ], ids=["map_bad", "map_rays"])
@@ -375,9 +375,9 @@ def test_reconstruct_conflict_and_ray_bytes_frozen(capsys, files, map_file,
 
 @pytest.mark.parametrize("map_file,rc,sha256", [
     ("map", 0,
-     "42ff1c512d0aca6bc77e5f7540df9890ecd3bcad2354dfa73f0c9f23d79836d5"),
+     "6695d33a4522a099e02b795eafde5d44a6d96bb0eb28b6fd252c4ede954fd63f"),
     ("map_bad", 1,
-     "2178f9c63b01706be8dee8142098cedd77c42ecc8813446867963a334dea9df5"),
+     "e5bea26ffdba99111934ef16ffff02d6debb2355e3fbb4bf8586f3ab63a9a156"),
     ("map_rays", 0,
      "0233ccecd8b0b2fa519bc20e57aa5aafa0f42ef453c5fcd3e642b932e45e9421"),
 ], ids=["map", "map_bad", "map_rays"])
@@ -392,7 +392,8 @@ def test_reconstruct_report_bytes_frozen(capsys, files, map_file, rc,
 
 def test_k_set_stop_rule_moves_only_traces_and_probes(capsys, files):
     # digests taken while every K-set up to k_cap was cited: a curve that
-    # stops at its smallest pinning K-sets changes the trace and the probe
+    # stops at the first K-set that pins it, as one that stopped at the
+    # end of the smallest pinning size did, changes the trace and the probe
     # count, and no other byte of a recovered run's report
     code, out, _ = run(capsys, "reconstruct", files["p3"], files["p3y"],
                        "--map", files["map"])
@@ -417,16 +418,16 @@ def clean_probes(phi: StrIso, trace: dict) -> int:
 
 
 def test_one_witness_per_fiber_moves_only_probes(capsys, files):
-    # a digest taken while rho2 looked up every node of each singleton
-    # fiber: reading one witness per fiber changes the probe count and no
-    # other byte of a clean run's report, its trace included (the
-    # roundtrip report without probes is pinned by the test above)
+    # a clean run's report without its probe count, its trace included:
+    # reading one witness per fiber, where rho2 once looked up every node
+    # of each singleton fiber, changed the probe count and no other byte
+    # (the roundtrip report without probes is pinned by the test above)
     code, out, _ = run(capsys, "reconstruct", files["p3"], files["p3y"],
                        "--map", files["map"])
     report = json.loads(out)
     del report["probes"]
     assert code == 0 and digest(json_text(report)) == (
-        "5e81c6fa30a7225552e4cf0158abc560d5ba201eeb3fb46118c28614cb0e8f8f")
+        "71c6132975f85e6c982909ec375f2c9d80ffbc1f5aecfb23e8d2fe6dd587a47d")
     fx, fy = load_fragment(files["p3"]), load_fragment(files["p3y"])
     for map_file in ("map", "map_rays"):
         code, out, _ = run(capsys, "reconstruct", files["p3"], files["p3y"],
@@ -649,9 +650,9 @@ def earlier_run(fixture: str, report: dict, cut: bool) -> dict:
 # run that --allow-weak-battery gave.
 @pytest.mark.parametrize("fixture,flags,rc,sha256", [
     ("p3", ["--seed", "3"], 0,
-     "f09da098ec066a6a30f6e77eb688c71f83a295a5e6818e98613edd53cac0327a"),
+     "add60bf5de1552696a61ee81e7d5d3fd3c8186f47cdff59309e314283aacf164"),
     ("p3", ["--corrupt"], 1,
-     "90539176b8203f0238a55402bb2e1a2b7bff9f54f3d785149f30b9174e796cae"),
+     "28ef20e40882032b7776b12baed8c13fbfcddf89b59a149a1e3e10ddbafd0f98"),
     ("f0", [], 1,
      "fa41e9483cc81721934814022c2da91702cd4d4b6565e738daa084e4c4737ac9"),
 ], ids=["p3-seed-3", "p3-corrupt", "f0"])
@@ -665,9 +666,9 @@ def test_roundtrip_output_bytes_frozen(capsys, files, fixture, flags, rc,
 
 @pytest.mark.parametrize("flags,rc,sha256", [
     (["--seed", "3"], 0,
-     "7d8ca97b49db1e9379f9056e54970327b12f817f3e39be212a28486c3cd0997c"),
+     "75ff89c9a50d7f256a09d69bb84a167354b489cee52cceff008112c61ac305b0"),
     (["--corrupt"], 1,
-     "14f5e3717c8b83f5744c2d13ac0132883b8687db75b09dae09d67bb6dd0b33e9"),
+     "d988ad6e667851b7fe2fd2cd36a0f7b42c498a5bee61fb4ce49fa1be2fab9c2a"),
 ], ids=["seed-3", "corrupt"])
 def test_roundtrip_run_bytes_frozen(capsys, files, flags, rc, sha256):
     # a run as the verb printed it with the error and the whole battery
@@ -679,9 +680,9 @@ def test_roundtrip_run_bytes_frozen(capsys, files, flags, rc, sha256):
 
 @pytest.mark.parametrize("flags,rc,sha256", [
     (["--seed", "3"], 0,
-     "9277983c94c020575a13277b4d49e7ec94aacbbaefc8e80ad240aa8d96abe871"),
+     "48ca380573954fa52bc73efc4abc58e39fd4c801dbbff8f53dd3017a9dc5f952"),
     (["--corrupt"], 1,
-     "cccfba94ab96664c4588e111856db3cc58263da62ee7c75122856f7e540441d1"),
+     "a54e04a4da6e210f88e40989668f3e38306add951df5e598d18663bef76c6fac"),
 ], ids=["seed-3", "corrupt"])
 def test_roundtrip_report_bytes_frozen(capsys, files, flags, rc, sha256):
     # the report as printed: the round-trip result alone

@@ -544,8 +544,10 @@ def test_build_rho_allocates_a_small_share_of_the_table():
     # both stages walk the table's own keys and cite its own node objects,
     # and the trace keeps a K-set as two list slots, no tuple, so the affine
     # job's map (28,440 nodes) costs build_rho an eighth of the table at
-    # most, and what it keeps is under 40 bytes per K-set; traced bytes,
-    # unlike RSS, do not depend on the host
+    # most, and what it keeps is under 40 bytes per K-set plus 640 per
+    # curve, whose rho1_table entry, intersection list and evidence array
+    # take 368 bytes (416 on CPython 3.10); traced bytes, unlike RSS, do
+    # not depend on the host
     rho = relabel(affine_plane_fragment(3, 2), 1)[1]
     tracemalloc.start()
     try:
@@ -559,9 +561,12 @@ def test_build_rho_allocates_a_small_share_of_the_table():
     finally:
         tracemalloc.stop()
     assert iso == rho
+    # a curve stops at the first K-set that pins it: 541 of 16,713 K-sets
+    assert len(trace.evidence) <= 600
     extra, kept = peak - before, kept - before
     assert extra < table / 8, (extra, table)
-    assert kept < 40 * len(trace.evidence), (kept, len(trace.evidence))
+    assert kept < 40 * len(trace.evidence) + 640 * rho.source.n1, (
+        kept, len(trace.evidence))
 
 
 def test_verify_factorization_clean(f3):
@@ -606,23 +611,43 @@ def built_trace(phi, size_cap, prefer_rays):
         return exc.trace.to_json()
 
 
-def assert_routes_agree(rho, spec, damage="honest", seed=0):
-    """The fast stages and ``build_rho`` against the node-by-node routes on
-    the induced map after ``damage``; "reordered" lists the same pairs in
-    a seeded shuffled key order, as a map file may."""
-    phi = induced = induce_str_iso(rho, spec)
-    slow = induce_str_iso_by_domain(rho, spec)
-    assert list(phi.table.items()) == list(slow.table.items())
+DAMAGES = ["honest", "corrupt", "shuffled", "truncated", "reordered"]
+
+
+def damaged(phi, damage, seed):
+    """``phi`` after ``damage``, one of DAMAGES; "reordered" lists the same
+    pairs in a seeded shuffled key order, as a map file may."""
     if damage == "corrupt":
-        phi = corrupt_str_iso(phi, seed)
-    elif damage == "shuffled":
-        phi = shuffle_images(phi, seed)
-    elif damage == "truncated":
-        phi = restrict_support(phi, 2)
-    elif damage == "reordered":
+        return corrupt_str_iso(phi, seed)
+    if damage == "shuffled":
+        return shuffle_images(phi, seed)
+    if damage == "truncated":
+        return restrict_support(phi, 2)
+    if damage == "reordered":
         pairs = list(phi.table.items())
         random.Random(seed).shuffle(pairs)
-        phi = StrIso(phi.fragment_x, phi.fragment_y, dict(pairs))
+        return StrIso(phi.fragment_x, phi.fragment_y, dict(pairs))
+    return phi
+
+
+def assert_factorization_routes_agree(phi, rho):
+    """``verify_factorization`` against the node-by-node oracle on fresh
+    copies of phi: the same violations in the same order, and one probe per
+    node on both routes."""
+    fast, slow = (StrIso(phi.fragment_x, phi.fragment_y, phi.table)
+                  for _ in range(2))
+    assert verify_factorization(fast, rho) == \
+        verify_factorization_by_node(slow, rho)
+    assert fast.probes == slow.probes == len(phi.table)
+
+
+def assert_routes_agree(rho, spec, damage="honest", seed=0):
+    """The fast stages and ``build_rho`` against the node-by-node routes on
+    the induced map after ``damage``."""
+    induced = induce_str_iso(rho, spec)
+    slow = induce_str_iso_by_domain(rho, spec)
+    assert list(induced.table.items()) == list(slow.table.items())
+    phi = damaged(induced, damage, seed)
 
     def copy():
         return StrIso(phi.fragment_x, phi.fragment_y, phi.table)
@@ -653,18 +678,12 @@ def assert_routes_agree(rho, spec, damage="honest", seed=0):
         moved, kept = built_trace(copy(), *args), built_trace(induced, *args)
         for part in ("rho1", "evidence"):
             assert moved[part] == kept[part]
-    other = relabel(rho.source, seed + 1)[1]
-    for hypothesis in (rho, other):
-        fast, slow = copy(), copy()
-        assert verify_factorization(fast, hypothesis) == \
-            verify_factorization_by_node(slow, hypothesis)
-        assert fast.probes == slow.probes == len(phi.domain)
+    for hypothesis in (rho, relabel(rho.source, seed + 1)[1]):
+        assert_factorization_routes_agree(phi, hypothesis)
 
 
 @given(fragments(max_n1=6, max_n2=3), st.integers(0, 10 ** 6),
-       st.integers(1, 3), st.booleans(),
-       st.sampled_from(["honest", "corrupt", "shuffled", "truncated",
-                        "reordered"]))
+       st.integers(1, 3), st.booleans(), st.sampled_from(DAMAGES))
 @settings(max_examples=200, deadline=None)
 def test_reconstruction_routes_agree(frag, seed, k_cap, rays, damage):
     assume(not rays or all(frag.up))
@@ -688,6 +707,53 @@ def test_reconstruction_routes_agree_on_planted(planted3):
 def test_reconstruction_routes_agree_on_affine_plane_3_2():
     assert_routes_agree(relabel(affine_plane_fragment(3, 2), 1)[1],
                         DomainSpec(k_cap=2))
+
+
+@given(fragments(max_n1=6, max_n2=3), st.integers(0, 10 ** 6),
+       st.integers(1, 3), st.booleans(), st.sampled_from(DAMAGES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_verify_factorization_matches_by_node(frag, seed, k_cap, rays,
+                                              damage, data):
+    # the prefix image carried along the table against one mask_image per
+    # node, on the true map and another relabeling, and on a table that
+    # may hold a key with an empty first ordinate at a drawn place, mapped
+    # to its expected image or to another node's
+    assume(not rays or all(frag.up))
+    rho = relabel(frag, seed)[1]
+    try:
+        phi = damaged(induce_str_iso(rho, DomainSpec(k_cap, rays)), damage,
+                      seed)
+    except ValueError as exc:       # corrupt_str_iso needs two fibers
+        assume("different fibers" not in str(exc))
+        raise
+    pairs = list(phi.table.items())
+    if data.draw(st.booleans(), label="empty key"):
+        m = data.draw(st.integers(0, frag.n2 - 1), label="point")
+        image = data.draw(st.sampled_from(
+            [finite_node(0, 1 << rho.h2_map[m])] + [v for _, v in pairs]),
+            label="image")
+        pairs.insert(data.draw(st.integers(0, len(pairs)), label="at"),
+                     (finite_node(0, 1 << m), image))
+    phi = StrIso(frag, phi.fragment_y, dict(pairs))
+    for hypothesis in (rho, relabel(frag, seed + 1)[1]):
+        assert_factorization_routes_agree(phi, hypothesis)
+
+
+def test_verify_factorization_reads_an_empty_first_ordinate(f0):
+    # no induced K is empty, but a hand-built table may hold (0, B), which
+    # has no last curve to split off its prefix: (0, {d}) factors, and
+    # (0, {e}) mapped onto a nonempty first ordinate is one violation
+    rho = relabel(f0, 2)[1]
+    phi = induce_str_iso(rho)
+    d, e = finite_node(0, 0b01), finite_node(0, 0b10)
+    table = {d: finite_node(0, 1 << rho.h2_map[0]), **phi.table,
+             e: phi.table[finite_node(0b001, 0b01)]}
+    hand = StrIso(f0, phi.fragment_y, table)
+    violations = verify_factorization(hand, rho)
+    assert [v["node"] for v in violations] == [e.to_json()]
+    assert violations[0]["expected"] == finite_node(
+        0, 1 << rho.h2_map[1]).to_json()
+    assert_factorization_routes_agree(hand, rho)
 
 
 @given(fragments(max_n1=6, max_n2=3), st.integers(0, 10 ** 6),
@@ -809,11 +875,12 @@ def test_census_validate_matches_all_pairs():
     """Every class up to 5 curves and 3 points at seed 0 and k_cap 2, with
     rays wherever every curve has a point above it: on the induced map, a
     corrupted one and a shuffled one, validate equals its all-pairs
-    oracle."""
+    oracle, and verify_factorization equals its node-by-node oracle."""
     maps = 0
     for frag in CENSUS:
-        phi = induce_str_iso(relabel(frag, 0)[1],
-                             DomainSpec(k_cap=2, include_rays=all(frag.up)))
+        rho = relabel(frag, 0)[1]
+        phi = induce_str_iso(rho, DomainSpec(k_cap=2,
+                                             include_rays=all(frag.up)))
         variants = [phi, shuffle_images(phi, 0)]
         try:
             variants.append(corrupt_str_iso(phi, 0))
@@ -821,6 +888,7 @@ def test_census_validate_matches_all_pairs():
             pass
         for variant in variants:
             assert variant.validate() == validate_all_pairs(variant), frag.up
+            assert_factorization_routes_agree(variant, rho)
             maps += 1
     assert maps > 2 * len(CENSUS)
 
