@@ -11,8 +11,8 @@ from .conditions import (BatteryReport, ConditionReport, check_j1, check_j2,
 from .structure import (FiberView, StrNode, counting_formula,
                         down_set_in_fiber, enumerate_fiber, finite_node,
                         format_node, has_strictly_smaller, mu_statistic,
-                        parity_mub_check, ray_node, str_leq,
-                        str_leq_bruteforce, str_member, w_max)
+                        parity_mub_check, ray_node, str_leq, str_member,
+                        w_max)
 from .models import (FragmentFormatError, GeneratorParams,
                      affine_plane_fragment, cusp_fragment, dumps_fragment,
                      fragment_from_json, fragment_to_json, json_text,
@@ -20,7 +20,6 @@ from .models import (FragmentFormatError, GeneratorParams,
 from .reconstruction import (DomainSpec, ReconstructionError,
                              ReconstructionTrace, RoundTripResult, StrIso,
                              build_rho, corrupt_str_iso, induce_str_iso,
-                             rho1_from_psi, rho1_from_rays, rho2_from_phi,
                              round_trip, verify_factorization)
 
 __version__ = "0.1.0"
@@ -33,14 +32,13 @@ __all__ = [
     "survey_p5", "witness_battery",
     "FiberView", "StrNode", "counting_formula", "down_set_in_fiber",
     "enumerate_fiber", "finite_node", "format_node", "has_strictly_smaller",
-    "mu_statistic", "parity_mub_check", "ray_node", "str_leq",
-    "str_leq_bruteforce", "str_member", "w_max",
+    "mu_statistic", "parity_mub_check", "ray_node", "str_leq", "str_member",
+    "w_max",
     "FragmentFormatError", "GeneratorParams", "affine_plane_fragment",
     "cusp_fragment", "dumps_fragment", "fragment_from_json",
     "fragment_to_json", "json_text", "load_fragment", "random_fragment",
     "save_fragment",
     "DomainSpec", "ReconstructionError",
     "ReconstructionTrace", "RoundTripResult", "StrIso", "build_rho",
-    "corrupt_str_iso", "induce_str_iso", "rho1_from_psi", "rho1_from_rays",
-    "rho2_from_phi", "round_trip", "verify_factorization",
+    "corrupt_str_iso", "induce_str_iso", "round_trip", "verify_factorization",
 ]

@@ -6,9 +6,10 @@ the point map), ray nodes map to ray nodes (giving the curve map directly),
 and without rays each curve is pinned down by intersecting the first
 ordinates of the images of its K-sets, the nodes (K, {b}) with x in K and
 mub(K) = {b}, smallest first, until one curve is left.  Every derived entry
-cites the nodes that forced it, and each stage records every inconsistency
-or gap as a trace conflict instead of stopping or producing a wrong map;
-only ``build_rho`` raises.
+cites the nodes that forced it.  ``build_rho`` is the one entry: its private
+stages write into the trace it hands them, record every inconsistency or gap
+as a conflict instead of stopping or producing a wrong map, and only
+``build_rho`` raises.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class ReconstructionTrace:
     nodes, each once, and ``images`` their images at the same positions,
     both the map's own StrNode objects; a ``rho1_table`` entry keeps its
     ``evidence`` as positions into those lists, an ``array('I')`` from
-    ``rho1_from_psi``.  ``to_json`` prints both as stored: each pair once,
+    the K-set stage.  ``to_json`` prints both as stored: each pair once,
     as ``[node, image]`` like a map file's, and each curve's positions as a
     list."""
 
@@ -252,23 +253,20 @@ def _singleton_fibers(phi: StrIso) -> list[list[StrNode]]:
     return fibers
 
 
-def rho2_from_phi(phi: StrIso, *, fibers: list[list[StrNode]] | None = None
-                  ) -> tuple[dict[int, int], ReconstructionTrace]:
+def _rho2_from_phi(phi: StrIso, fibers: list[list[StrNode]],
+                   trace: ReconstructionTrace) -> dict[int, int]:
     """Point map from one witness per singleton fiber.
 
     Every node over {m} maps into the fiber of one point, rho2(m), so the
-    first key of each fiber, as ``_singleton_fibers`` lists them, is looked
-    up (one probe) and names it: its image must be a member pair of
+    first key of each fiber in ``fibers``, ``_singleton_fibers(phi)``, is
+    looked up (one probe) and names it: its image must be a member pair of
     fragment_y over a single point.  An image that is not, an empty fiber
-    and a point map that is no bijection become conflicts.  The fiber's
-    other nodes are not read; ``build_rho`` checks each node against the
-    assembled map.  ``fibers`` is that list when the caller has it.
+    and a point map that is no bijection become conflicts in ``trace``.
+    The fiber's other nodes are not read; ``build_rho`` checks each node
+    against the assembled map.
     """
-    trace = ReconstructionTrace()
     fx, fy = phi.fragment_x, phi.fragment_y
     rho2: dict[int, int] = {}
-    if fibers is None:
-        fibers = _singleton_fibers(phi)
     for m, keys in enumerate(fibers):
         if not keys:
             trace.conflicts.append({"kind": "empty-fiber",
@@ -293,7 +291,7 @@ def rho2_from_phi(phi: StrIso, *, fibers: list[list[StrNode]] | None = None
                                or fx.n2 != fy.n2):
         trace.conflicts.append({"kind": "rho2-not-bijective",
                                 "images": sorted(rho2.values())})
-    return rho2, trace
+    return rho2
 
 
 def _k_size(node: StrNode) -> int:
@@ -360,42 +358,38 @@ def _refuse_k_cap(k_cap: int, rays: bool = False) -> None:
             "K-sets have at least two curves; use k_cap >= 2 or rays"))
 
 
-def rho1_from_psi(psi: StrIso, size_cap: int = 3, *,
-                  fibers: list[list[StrNode]] | None = None
-                  ) -> tuple[dict[int, int], ReconstructionTrace]:
+def _rho1_from_psi(psi: StrIso, size_cap: int, fibers: list[list[StrNode]],
+                   trace: ReconstructionTrace) -> dict[int, int]:
     """Curve map by intersecting the first ordinates of K-set images.
 
-    The K-sets are the keys (K, {b}) of the singleton fibers with
-    2 <= |K| <= size_cap, K inside fragment_x and mub(K) = {b}.  They are
-    taken size by size across all points, pairs first, then by point and
-    lexicographic K.  A curve is pinned by the first K-set after which its
-    image intersection is a single curve, and cites no later K-set.  A
-    K-set is looked up only if it holds an unpinned curve when its turn
-    comes: its image is tested once, the table's own key and image go to
-    ``trace.evidence`` and ``trace.images``, and only its unpinned curves
-    cite it.  The pass stops at size_cap or when every curve is pinned, so
-    each curve's evidence depends on that curve alone.  A curve takes the
-    positions it cites, in order, as an ``array('I')``, and each cited
-    (curve, K-set) pair is one probe.
+    The K-sets are the keys (K, {b}) in ``fibers``, the singleton fibers
+    ``_singleton_fibers(psi)`` lists, with 2 <= |K| <= size_cap, K inside
+    fragment_x and mub(K) = {b}.  They are taken size by size across all
+    points, pairs first, then by point and lexicographic K.  A curve is
+    pinned by the first K-set after which its image intersection is a
+    single curve, and cites no later K-set.  A K-set is looked up only if
+    it holds an unpinned curve when its turn comes: its image is tested
+    once, the table's own key and image go to ``trace.evidence`` and
+    ``trace.images``, and only its unpinned curves cite it.  The pass stops
+    at size_cap or when every curve is pinned, so each curve's evidence
+    depends on that curve alone.  A curve takes the positions it cites, in
+    order, as an ``array('I')``, and each cited (curve, K-set) pair is one
+    probe.
 
     The image intersection always contains the true image, so a singleton
     answer is correct whenever psi really is induced by a relabeling, and a
     later K-set cannot change it; a larger intersection is recorded as an
     ambiguity, never guessed at.  Only K-sets psi actually tabulates count
     as evidence; a curve that none holds is a ``no-k-set`` conflict, as on
-    a map file over a truncated domain.  ``fibers`` is
-    ``_singleton_fibers(psi)`` when the caller has it.  A size_cap below 2
-    admits no K-set and raises ValueError.
+    a map file over a truncated domain.  Conflicts go to ``trace``.  A
+    size_cap below 2 admits no K-set and raises ValueError.
     """
     _refuse_k_cap(size_cap)
-    trace = ReconstructionTrace()
     fx, fy = psi.fragment_x, psi.fragment_y
     table, evidence, images = psi.table, trace.evidence, trace.images
     held = [array("I") for _ in range(fx.n1)]  # held[x]: evidence positions
     inter = [fy.all_h1_mask] * fx.n1           # inter[x]: image intersection
     is_k_set = bytearray()                      # per position
-    if fibers is None:
-        fibers = _singleton_fibers(psi)
     top = min(size_cap, fx.n1)
     sized = [_size_starts(keys, top) for keys in fibers]
     unpinned = fx.all_h1_mask
@@ -446,20 +440,16 @@ def rho1_from_psi(psi: StrIso, size_cap: int = 3, *,
                 {"kind": "rho1-ambiguous", "x": fx.h1_labels[x],
                  "intersection": [fy.h1_labels[i] for i in bits_of(meet)]})
         trace.rho1_table[x] = entry
-    return rho1, trace
+    return rho1
 
 
-def rho1_from_rays(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
-    """Curve map read directly off ray images; a missing ray, as of a curve
-    with no point above it, is a conflict."""
-    trace = ReconstructionTrace()
+def _rho1_from_rays(phi: StrIso, rays: list[StrNode],
+                    trace: ReconstructionTrace) -> dict[int, int]:
+    """Curve map read directly off the images of ``rays``, ``ray_node`` of
+    each curve in curve order, every one a key of phi."""
     fx = phi.fragment_x
     rho1: dict[int, int] = {}
-    for x in range(fx.n1):
-        if not fx.up[x] or (ray := ray_node(fx, x)) not in phi.table:
-            trace.conflicts.append({"kind": "ray-not-in-domain",
-                                    "x": fx.h1_labels[x]})
-            continue
+    for x, ray in enumerate(rays):
         img = phi.map(ray)
         if not img.is_ray:
             trace.conflicts.append(
@@ -471,7 +461,7 @@ def rho1_from_rays(phi: StrIso) -> tuple[dict[int, int], ReconstructionTrace]:
                                "evidence": [len(trace.evidence)]}
         trace.evidence.append(ray)
         trace.images.append(img)
-    return rho1, trace
+    return rho1
 
 
 def build_rho(phi: StrIso, size_cap: int = 3, prefer_rays: bool = True
@@ -479,26 +469,31 @@ def build_rho(phi: StrIso, size_cap: int = 3, prefer_rays: bool = True
     """Assemble the fragment isomorphism and certify it, or raise with the
     full trace.
 
-    The only raise of the pipeline: failure never yields a partial or
-    guessed map, and the conflicts of both stages, an incidence violation
-    of the assembled map or the nodes it does not factor surface in the
-    merged trace.  The table is walked for its singleton fibers once, for
-    both stages.  The curve map comes off the rays if ``prefer_rays`` and
-    ``ray_node`` of every curve is a key, else off the K-sets.  The stages
-    read one witness per fiber and the K-sets a curve needs, not every
-    node, so the assembled map is then checked node by node with
+    The one entry to reconstruction and the only raise of the pipeline:
+    failure never yields a partial or guessed map, and the conflicts of
+    both stages, point map first, an incidence violation of the assembled
+    map or the nodes it does not factor surface in the one trace it makes.
+    The table is walked for its singleton fibers once, for both stages.
+    The curve map comes off the rays if ``prefer_rays`` and ``ray_node``
+    of every curve is a key, else off the K-sets.  The stages read one
+    witness per fiber and the K-sets a curve needs, not every node, so the
+    assembled map is then checked node by node with
     ``verify_factorization``, and a map that is returned factors phi.
+
+    Every key must be a member pair of fragment_x, as ``StrIso.from_json``
+    and ``induce_str_iso`` guarantee and ``StrIso.validate`` checks.
+    ``build_rho`` does not check it: a key over a point that fragment_x
+    lacks, say, raises IndexError.
     """
+    trace = ReconstructionTrace()
     fibers = _singleton_fibers(phi)
-    rho2, trace = rho2_from_phi(phi, fibers=fibers)
+    rho2 = _rho2_from_phi(phi, fibers, trace)
     fx = phi.fragment_x
-    rays = prefer_rays and all(fx.up[x] and ray_node(fx, x) in phi.table
-                               for x in range(fx.n1))
-    rho1, t1 = (rho1_from_rays(phi) if rays
-                else rho1_from_psi(phi, size_cap, fibers=fibers))
-    trace.rho1_table = t1.rho1_table
-    trace.evidence, trace.images = t1.evidence, t1.images
-    trace.conflicts.extend(t1.conflicts)
+    if prefer_rays:
+        rays = [ray_node(fx, x) if fx.up[x] else None for x in range(fx.n1)]
+        prefer_rays = all(ray in phi.table for ray in rays)
+    rho1 = (_rho1_from_rays(phi, rays, trace) if prefer_rays
+            else _rho1_from_psi(phi, size_cap, fibers, trace))
     if trace.conflicts:
         raise ReconstructionError("conflicting evidence; see trace", trace)
     try:

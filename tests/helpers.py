@@ -15,13 +15,17 @@ from enum import IntEnum
 from itertools import (combinations, combinations_with_replacement,
                        permutations)
 from typing import Iterable, Optional, Sequence
+from unittest import mock
 
 from strposet import (DomainSpec, FiberView, IsoMap, PosetFragment,
                       ReconstructionError, ReconstructionTrace, StrIso,
                       StrNode, bits_of, find_j3_witness, finite_node,
-                      mask_of, ray_node, rho1_from_psi, str_leq_bruteforce,
-                      str_member, w_max)
-from strposet.structure import ENUM_CAP, NodeLike, require_member
+                      mask_of, ray_node, str_member, w_max)
+from strposet import reconstruction
+from strposet.reconstruction import (_rho1_from_psi, _rho2_from_phi,
+                                     _singleton_fibers)
+from strposet.structure import (ENUM_CAP, NodeLike, require_member,
+                                str_leq_bruteforce)
 
 
 # -- the element-level model of a fragment -----------------------------------
@@ -712,18 +716,17 @@ def k_sets(fragment: PosetFragment, x: int, size_cap: int = 3
                                                 size_cap, base=1 << x)]
 
 
-def rho2_from_phi_by_node(phi: StrIso, *, fibers=None
-                          ) -> tuple[dict[int, int], ReconstructionTrace]:
+def rho2_from_phi_by_node(phi: StrIso, fibers, trace: ReconstructionTrace
+                          ) -> dict[int, int]:
     """Point map from one witness per singleton fiber.
 
     Nodes are grouped by fiber from the domain list, and the first node of
     each fiber is mapped (one probe): its image must satisfy the element
     definition of a member pair over a single point, and that point is
     the fiber's image.  A failing image and an empty fiber become
-    conflicts, and so does a point map that is no bijection.  ``fibers``
-    is ignored.
+    conflicts in ``trace``, and so does a point map that is no bijection.
+    ``fibers`` is ignored.
     """
-    trace = ReconstructionTrace()
     fx, fy = phi.fragment_x, phi.fragment_y
     groups: dict[int, list[StrNode]] = {m: [] for m in range(fx.n2)}
     for node in phi.domain:
@@ -756,11 +759,11 @@ def rho2_from_phi_by_node(phi: StrIso, *, fibers=None
                                or fx.n2 != fy.n2):
         trace.conflicts.append({"kind": "rho2-not-bijective",
                                 "images": sorted(rho2.values())})
-    return rho2, trace
+    return rho2
 
 
-def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3, *, fibers=None
-                           ) -> tuple[dict[int, int], ReconstructionTrace]:
+def rho1_from_psi_by_curve(psi: StrIso, size_cap: int, fibers,
+                           trace: ReconstructionTrace) -> dict[int, int]:
     """Curve map by intersecting the first ordinates of K-set images.
 
     Each curve's literal K-sets up to ``size_cap`` that psi tabulates are
@@ -773,9 +776,8 @@ def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3, *, fibers=None
     correct whenever psi really is induced by a relabeling; a larger
     intersection is recorded as an ambiguity, never guessed at.  A curve
     that no tabulated K-set holds, as on a map file over a truncated
-    domain, is a conflict.  ``fibers`` is ignored.
+    domain, is a conflict in ``trace``.  ``fibers`` is ignored.
     """
-    trace = ReconstructionTrace()
     fx, fy = psi.fragment_x, psi.fragment_y
     rho1: dict[int, int] = {}
     for x in range(fx.n1):
@@ -810,7 +812,40 @@ def rho1_from_psi_by_curve(psi: StrIso, size_cap: int = 3, *, fibers=None
                 {"kind": "rho1-ambiguous", "x": fx.h1_labels[x],
                  "intersection": [fy.h1_labels[i] for i in bits_of(inter)]})
         trace.rho1_table[x] = entry
-    return rho1, trace
+    return rho1
+
+
+# The conflict kinds the library emits and the README's reconstruct-report
+# paragraph lists.
+CONFLICT_KINDS = {
+    "image-not-member", "image-fiber-not-singleton", "rho2-not-bijective",
+    "empty-fiber", "image-not-k-set", "rho1-ambiguous", "ray-image-not-ray",
+    "no-k-set", "incidence-violation", "factorization-violation",
+    "not-the-hidden-map"}
+
+
+def rho2_alone(phi: StrIso, stage=_rho2_from_phi
+               ) -> tuple[dict[int, int], ReconstructionTrace]:
+    """The point-map ``stage`` run on its own, as ``build_rho`` runs it: on
+    phi's singleton fibers and a fresh trace; its map and that trace."""
+    trace = ReconstructionTrace()
+    return stage(phi, _singleton_fibers(phi), trace), trace
+
+
+def rho1_alone(psi: StrIso, size_cap: int = 3, stage=_rho1_from_psi
+               ) -> tuple[dict[int, int], ReconstructionTrace]:
+    """The K-set ``stage`` run on its own, as ``build_rho`` runs it: on
+    psi's singleton fibers and a fresh trace; its map and that trace."""
+    trace = ReconstructionTrace()
+    return stage(psi, size_cap, _singleton_fibers(psi), trace), trace
+
+
+def oracle_stages():
+    """A context in which ``build_rho`` runs the node-by-node stages
+    ``rho2_from_phi_by_node`` and ``rho1_from_psi_by_curve``."""
+    return mock.patch.multiple(reconstruction,
+                               _rho2_from_phi=rho2_from_phi_by_node,
+                               _rho1_from_psi=rho1_from_psi_by_curve)
 
 
 def verify_factorization_by_node(phi: StrIso, rho: IsoMap) -> list[dict]:
@@ -838,7 +873,7 @@ def extend_psi_to_phi(psi: StrIso, size_cap: int = 3) -> StrIso:
     """Grow a finite-nodes-only map to one defined on ray nodes as well,
     using the K-set curve map; raises with the trace when curves stay
     ambiguous."""
-    rho1, trace = rho1_from_psi(psi, size_cap)
+    rho1, trace = rho1_alone(psi, size_cap)
     if trace.conflicts:
         raise ReconstructionError("cannot extend: see trace", trace)
     fx, fy = psi.fragment_x, psi.fragment_y

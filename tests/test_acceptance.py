@@ -24,8 +24,9 @@ from strposet import (DomainSpec, GeneratorParams, PosetFragment,
                       fragment_from_json, has_strictly_smaller,
                       induce_str_iso, load_fragment, mask_of, mu_statistic,
                       parity_mub_check, random_fragment, relabel, round_trip,
-                      save_fragment, str_leq, str_leq_bruteforce,
-                      verify_factorization, w_max, witness_battery)
+                      save_fragment, str_leq, verify_factorization, w_max,
+                      witness_battery)
+from strposet.structure import str_leq_bruteforce
 
 from helpers import (SmallPoset, detect_I2, fiber_height_positive,
                      restrict_support, small_poset_isomorphic, to_small_poset)

@@ -1,15 +1,19 @@
 """Every import in `src/strposet` is used, every exported name is run by
 the library or the benchmark, the modules import each other only down the
-layers, and every name the benchmark tracer patches exists: stdlib `ast`
-scans."""
+layers, every name the benchmark tracer patches exists, and the conflict
+kinds and the export count are the ones the tests and README name: stdlib
+`ast` scans."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import strposet
+
+from helpers import CONFLICT_KINDS
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "strposet"
@@ -89,6 +93,40 @@ def test_every_export_is_read_by_the_library_or_the_benchmark():
              if path.name != "__init__.py"] + sorted(BENCH.glob("*.py"))
     read = names_read([path.read_text(encoding="utf-8") for path in paths])
     assert [name for name in strposet.__all__ if name not in read] == []
+
+
+def test_readme_counts_the_exports():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"`strposet\.__all__`\s+has\s+(\d+)\s+names",
+                      readme) == [str(len(strposet.__all__))]
+
+
+def conflict_kinds(source: str) -> set[str]:
+    """Every string literal stored under a ``"kind"`` key of a dict
+    literal."""
+    kinds = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if (isinstance(key, ast.Constant) and key.value == "kind"
+                        and isinstance(value, ast.Constant)):
+                    kinds.add(value.value)
+    return kinds
+
+
+def test_conflict_kinds_scan():
+    source = ('base = {"kind": "a", "x": 1}\n'
+              'more = [{**base, "kind": "b"}, {"kind": f"c{base}"}]\n'
+              'other = {"type": "d"}\n')
+    assert conflict_kinds(source) == {"a", "b"}
+
+
+def test_every_conflict_kind_is_emitted():
+    """``CONFLICT_KINDS``, the kinds README lists, is exactly what the
+    package emits: no listed kind is dead, and no emitted one unlisted."""
+    emitted = set().union(*(conflict_kinds(path.read_text(encoding="utf-8"))
+                            for path in PACKAGE.glob("*.py")))
+    assert emitted == CONFLICT_KINDS
 
 
 def package_imports(source: str) -> set[str]:

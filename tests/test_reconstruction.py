@@ -8,21 +8,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strposet import (DomainSpec, GeneratorParams, IsoMap, PosetFragment,
-                      ReconstructionError, StrIso, StrNode, affine_plane_fragment,
-                      build_rho, corrupt_str_iso, dumps_fragment,
-                      finite_node, format_node, induce_str_iso, json_text,
-                      random_fragment, ray_node, relabel, rho1_from_psi,
-                      rho1_from_rays, rho2_from_phi, round_trip,
+                      ReconstructionError, ReconstructionTrace, StrIso,
+                      StrNode, affine_plane_fragment, build_rho,
+                      corrupt_str_iso, dumps_fragment, finite_node,
+                      format_node, induce_str_iso, json_text,
+                      random_fragment, ray_node, relabel, round_trip,
                       verify_factorization, witness_battery)
-from strposet import reconstruction
-from strposet.reconstruction import MAX_DOMAIN_NODES, domain_size
+from strposet.reconstruction import (MAX_DOMAIN_NODES, _rho1_from_psi,
+                                     _rho1_from_rays, _rho2_from_phi,
+                                     _singleton_fibers, domain_size)
 
 from conftest import fragments
-from helpers import (brute_k_sets, census_fragments, enumerate_domain,
-                     extend_psi_to_phi, induce_str_iso_by_domain, k_sets,
-                     restrict_support, rho1_from_psi_by_curve,
-                     rho2_from_phi_by_node, separated, trace_v1, unmap,
-                     validate_all_pairs, verify_factorization_by_node)
+from helpers import (CONFLICT_KINDS, brute_k_sets, census_fragments,
+                     enumerate_domain, extend_psi_to_phi,
+                     induce_str_iso_by_domain, k_sets, oracle_stages,
+                     restrict_support, rho1_alone, rho1_from_psi_by_curve,
+                     rho2_alone, rho2_from_phi_by_node, separated, trace_v1,
+                     unmap, validate_all_pairs, verify_factorization_by_node)
 
 
 def identity_iso(frag):
@@ -277,7 +279,7 @@ def test_corrupt_swaps_exactly_two(f0):
 
 def test_rho2_exact(f0):
     rho = relabel(f0, seed=11)[1]
-    rho2, trace = rho2_from_phi(induce_str_iso(rho))
+    rho2, trace = rho2_alone(induce_str_iso(rho))
     assert rho2 == {j: rho.h2_map[j] for j in range(f0.n2)}
     assert not trace.conflicts
     assert set(trace.rho2_table) == {0, 1}
@@ -287,7 +289,7 @@ def test_rho2_exact(f0):
 def test_rho2_records_nonmember_images(f0):
     table = {finite_node(0b001, 0b01): finite_node(0b100, 0b10),
              finite_node(0b001, 0b10): finite_node(0b001, 0b10)}
-    rho2, trace = rho2_from_phi(StrIso(f0, f0, table))
+    rho2, trace = rho2_alone(StrIso(f0, f0, table))
     assert 0 not in rho2
     assert trace.conflicts[0]["kind"] == "image-not-member"
     assert trace.conflicts[0]["m"] == "d"
@@ -297,7 +299,7 @@ def test_rho2_records_images_outside_fragment_y(f0):
     # curve 5 and point 3 are not in f0: a conflict, not a ValueError
     table = {finite_node(0b001, 0b01): finite_node(0b100000, 0b01),
              finite_node(0b001, 0b10): finite_node(0b001, 0b1000)}
-    rho2, trace = rho2_from_phi(StrIso(f0, f0, table))
+    rho2, trace = rho2_alone(StrIso(f0, f0, table))
     assert rho2 == {}
     assert [(c["kind"], c["m"]) for c in trace.conflicts] == [
         ("image-not-member", "d"), ("image-not-member", "e")]
@@ -309,7 +311,7 @@ def test_factorization_reports_images_outside_fragment_y(f0):
     # image, pulling back only the curve and point that f0 has, and raises
     phi = induce_str_iso(identity_iso(f0), DomainSpec(include_rays=True))
     node = finite_node(0b010, 0b01)
-    assert reconstruction._singleton_fibers(phi)[0][1] == node
+    assert _singleton_fibers(phi)[0][1] == node
     table = dict(phi.table)
     table[node] = finite_node(0b100010, 0b1001)
     bad = StrIso(f0, f0, table)
@@ -327,7 +329,7 @@ def test_factorization_reports_images_outside_fragment_y(f0):
 
 def test_rho2_requires_every_fiber(f0):
     phi = StrIso(f0, f0, {finite_node(0b001, 0b01): finite_node(0b001, 0b01)})
-    rho2, trace = rho2_from_phi(phi)
+    rho2, trace = rho2_alone(phi)
     assert rho2 == {0: 0}
     assert trace.conflicts == [{"kind": "empty-fiber", "m": "e"}]
     with pytest.raises(ReconstructionError, match="conflicting evidence") \
@@ -371,7 +373,7 @@ def test_k_sets_against_literal_enumeration(frag, x):
 
 def test_rho1_ambiguity_on_symmetric_curves(f0):
     psi = induce_str_iso(identity_iso(f0))
-    rho1, trace = rho1_from_psi(psi)
+    rho1, trace = rho1_alone(psi)
     assert rho1 == {2: 2}             # only c is pinned down
     ambiguous = {c["x"]: c["intersection"] for c in trace.conflicts
                  if c["kind"] == "rho1-ambiguous"}
@@ -383,7 +385,7 @@ def test_rho1_ambiguity_on_symmetric_curves(f0):
 def test_rho1_needs_k_sets():
     lonely = PosetFragment(1, 1, [(0, 0)], h1_labels=["solo"])
     psi = induce_str_iso(identity_iso(lonely), DomainSpec(k_cap=1))
-    rho1, trace = rho1_from_psi(psi)
+    rho1, trace = rho1_alone(psi)
     assert rho1 == {} and trace.rho1_table == {}
     assert trace.conflicts == [{"kind": "no-k-set", "x": "solo"}]
 
@@ -393,7 +395,7 @@ def test_rho1_rejects_truncated_domain_cleanly(planted3):
     # uncovered ones must not leak out as a raw lookup failure, and every
     # curve that keeps no K-set is named
     psi = restrict_support(induce_str_iso(identity_iso(planted3)), 2)
-    rho1, trace = rho1_from_psi(psi)
+    rho1, trace = rho1_alone(psi)
     bare = [c["x"] for c in trace.conflicts if c["kind"] == "no-k-set"]
     assert bare and all(planted3.resolve_h1_label(x) not in rho1
                         for x in bare)
@@ -402,26 +404,45 @@ def test_rho1_rejects_truncated_domain_cleanly(planted3):
 
 def test_rho1_flags_broken_k_set_images(f0):
     psi = corrupt_str_iso(induce_str_iso(identity_iso(f0)), seed=1)
-    _, trace = rho1_from_psi(psi)
+    _, trace = rho1_alone(psi)
     assert trace.conflicts
+
+
+def rho1_off_rays(phi):
+    """The ray stage run on its own over every curve's ray node."""
+    fx, trace = phi.fragment_x, ReconstructionTrace()
+    rays = [ray_node(fx, x) for x in range(fx.n1)]
+    return _rho1_from_rays(phi, rays, trace), trace
 
 
 def test_rho1_from_rays(f3):
     rho = relabel(f3, seed=5)[1]
     phi = induce_str_iso(rho, DomainSpec(include_rays=True))
-    rho1, trace = rho1_from_rays(phi)
+    rho1, trace = rho1_off_rays(phi)
     assert rho1 == {i: rho.h1_map[i] for i in range(f3.n1)}
     assert not trace.conflicts
 
 
-def test_rho1_from_rays_requires_rays(f3):
-    # curve 1 of the second fragment lies below no point, so it has no ray
-    # node: a conflict as well, not a ValueError from ray_node
-    for frag in (f3, PosetFragment(2, 1, [(0, 0)])):
-        rho1, trace = rho1_from_rays(induce_str_iso(identity_iso(frag)))
-        assert rho1 == {} and trace.evidence == trace.images == []
-        assert trace.conflicts == [{"kind": "ray-not-in-domain", "x": label}
-                                   for label in frag.h1_labels]
+def test_build_rho_names_a_curve_with_no_ray_and_no_k_set():
+    # the ray route needs every curve's ray node as a key; a map that
+    # lacks one, or a curve below no point, which has none, sends build_rho
+    # to the K-sets, and there a curve that no K-set holds is a no-k-set
+    # conflict, not a KeyError or a ValueError from ray_node
+    lonely = PosetFragment(1, 1, [(0, 0)], h1_labels=["solo"])
+    phi = induce_str_iso(identity_iso(lonely), DomainSpec(include_rays=True))
+    assert build_rho(phi)[0] == identity_iso(lonely)
+    no_ray = StrIso(lonely, lonely, {node: img for node, img
+                                     in phi.table.items() if not node.is_ray})
+    bare = PosetFragment(2, 1, [(0, 0)])
+    for psi, labels in ((no_ray, ["solo"]),
+                        (induce_str_iso(identity_iso(bare)), bare.h1_labels)):
+        with pytest.raises(ReconstructionError,
+                           match="conflicting evidence") as err:
+            build_rho(psi)
+        trace = err.value.trace
+        assert trace.conflicts == [{"kind": "no-k-set", "x": label}
+                                   for label in labels]
+        assert trace.rho2_table and trace.evidence == trace.images == []
 
 
 def test_rho1_flags_nonray_images(f0):
@@ -430,7 +451,7 @@ def test_rho1_flags_nonray_images(f0):
     ray = ray_node(f0, 0)
     # reroute one ray onto the mask-identical finite node
     table[ray] = finite_node(0b001, 0b11)
-    rho1, trace = rho1_from_rays(StrIso(f0, f0, table))
+    rho1, trace = rho1_off_rays(StrIso(f0, f0, table))
     assert 0 not in rho1
     assert trace.conflicts[0]["kind"] == "ray-image-not-ray"
 
@@ -473,11 +494,7 @@ def test_build_rho_reads_rays_only_when_every_ray_is_a_key(planted3):
         assert got == rho
         assert all(node.is_ray is ray_route for node in trace.evidence)
         fast = route_outcome(build_rho, copy())
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(reconstruction, "rho2_from_phi",
-                          rho2_from_phi_by_node)
-            patch.setattr(reconstruction, "rho1_from_psi",
-                          rho1_from_psi_by_curve)
+        with oracle_stages():
             assert fast == route_outcome(build_rho, copy())
 
 
@@ -521,23 +538,29 @@ def test_build_rho_reports_incidence_violation(f0):
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_build_rho_keeps_the_point_map_when_rho1_raises(planted3, corrupt):
     # two curves per point leave curve x2 without K-sets in the domain, so
-    # the curve map fails there; build_rho's trace holds both stages whole
+    # the curve map fails there; build_rho's trace holds both stages whole,
+    # the point map's conflicts first, as the two stages write one trace
     phi = restrict_support(induce_str_iso(relabel(planted3, seed=7)[1]), 2)
     if corrupt:
         phi = corrupt_str_iso(phi, seed=0)
-    _, t2 = rho2_from_phi(phi)
-    _, t1 = rho1_from_psi(phi)
-    assert corrupt or not t2.conflicts
-    assert {"kind": "no-k-set", "x": "x2"} in t1.conflicts
+    fibers, shared = _singleton_fibers(phi), ReconstructionTrace()
+    _rho2_from_phi(phi, fibers, shared)
+    point_conflicts = list(shared.conflicts)
+    _rho1_from_psi(phi, 3, fibers, shared)
+    assert corrupt or not point_conflicts
+    assert shared.conflicts[:len(point_conflicts)] == point_conflicts
+    assert {"kind": "no-k-set", "x": "x2"} in \
+        shared.conflicts[len(point_conflicts):]
     with pytest.raises(ReconstructionError, match="conflicting evidence") \
             as err:
         build_rho(phi)
     trace = err.value.trace
     assert len(trace.rho2_table) == planted3.n2
-    assert trace.rho2_table == t2.rho2_table
-    assert trace.conflicts == t2.conflicts + t1.conflicts
-    assert trace.rho1_table == t1.rho1_table
-    assert trace.evidence == t1.evidence and trace.images == t1.images
+    assert trace.rho2_table == shared.rho2_table
+    assert trace.conflicts == shared.conflicts
+    assert trace.rho1_table == shared.rho1_table
+    assert trace.evidence == shared.evidence
+    assert trace.images == shared.images
 
 
 def test_build_rho_allocates_a_small_share_of_the_table():
@@ -652,26 +675,23 @@ def assert_routes_agree(rho, spec, damage="honest", seed=0):
     def copy():
         return StrIso(phi.fragment_x, phi.fragment_y, phi.table)
 
-    assert route_outcome(rho2_from_phi, copy()) == \
-        route_outcome(rho2_from_phi_by_node, copy())
+    assert route_outcome(rho2_alone, copy()) == \
+        route_outcome(rho2_alone, copy(), rho2_from_phi_by_node)
     # no K-set has one curve: at size_cap 1 the oracle finds none for any
     # curve, and the fast pass refuses the cap before looking
-    rho1, trace = rho1_from_psi_by_curve(copy(), 1)
+    rho1, trace = rho1_alone(copy(), 1, rho1_from_psi_by_curve)
     assert not rho1 and len(trace.conflicts) == rho.source.n1
     assert all(c["kind"] == "no-k-set" for c in trace.conflicts)
     with pytest.raises(ValueError, match="at least two curves"):
-        rho1_from_psi(copy(), 1)
+        rho1_alone(copy(), 1)
     for size_cap in sorted({2, spec.k_cap} - {1}):
-        assert route_outcome(rho1_from_psi, copy(), size_cap) == \
-            route_outcome(rho1_from_psi_by_curve, copy(), size_cap)
+        assert route_outcome(rho1_alone, copy(), size_cap) == \
+            route_outcome(rho1_alone, copy(), size_cap,
+                          rho1_from_psi_by_curve)
     if damage == "reordered" and (spec.k_cap >= 2 or spec.include_rays):
         args = spec.k_cap, spec.include_rays
         fast = route_outcome(build_rho, copy(), *args)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(reconstruction, "rho2_from_phi",
-                          rho2_from_phi_by_node)
-            patch.setattr(reconstruction, "rho1_from_psi",
-                          rho1_from_psi_by_curve)
+        with oracle_stages():
             assert fast == route_outcome(build_rho, copy(), *args)
         # rho2 names the first node of each fiber in table order as its
         # witness; the curve map and the pairs it cites do not move
@@ -763,11 +783,10 @@ def test_size_cap_beyond_the_domain_changes_nothing(frag, seed, k_cap, cap):
     # K-sets larger than the map's first ordinates are never tabulated, so
     # the capped pass and the uncapped oracle give the same bytes and probes
     psi = induce_str_iso(relabel(frag, seed)[1], DomainSpec(k_cap=k_cap))
-    outcomes = [route_outcome(route, StrIso(frag, psi.fragment_y, psi.table),
-                              size_cap)
-                for route, size_cap in ((rho1_from_psi, k_cap),
-                                        (rho1_from_psi, cap),
-                                        (rho1_from_psi_by_curve, cap))]
+    outcomes = [route_outcome(rho1_alone,
+                              StrIso(frag, psi.fragment_y, psi.table), *args)
+                for args in ((k_cap,), (cap,),
+                             (cap, rho1_from_psi_by_curve))]
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
@@ -798,7 +817,7 @@ def test_pairs_that_pin_every_curve_end_the_pass(frag, seed, corrupt):
 
     def outcome(size_cap):
         fresh = StrIso(frag, psi.fragment_y, psi.table)
-        rho1, trace = rho1_from_psi(fresh, size_cap)
+        rho1, trace = rho1_alone(fresh, size_cap)
         return rho1, json_text(trace.to_json()), fresh.probes
 
     pairs = outcome(2)
@@ -815,7 +834,7 @@ def test_only_an_unpinned_curve_cites_larger_k_sets():
                                 (3, 0), (3, 1), (3, 2)])
     rho = relabel(frag, 3)[1]
     psi = induce_str_iso(rho)
-    rho1, trace = rho1_from_psi(psi, 3)
+    rho1, trace = rho1_alone(psi, 3)
     assert rho1 == dict(enumerate(rho.h1_map)) and not trace.conflicts
     triples = [node for node in trace.evidence
                if node.a_mask.bit_count() == 3]
@@ -832,7 +851,7 @@ def test_only_an_unpinned_curve_cites_larger_k_sets():
 CENSUS = census_fragments(5, 3)
 
 
-def test_census_never_returns_a_wrong_map(monkeypatch):
+def test_census_never_returns_a_wrong_map():
     """Every class up to 5 curves and 3 points, k_cap 2 and 3, psi-only and
     with rays, seeds 0-2: build_rho either raises or returns the hidden
     map, and its fast stages agree with the node-by-node ones on the map,
@@ -851,11 +870,7 @@ def test_census_never_returns_a_wrong_map(monkeypatch):
                     spec = DomainSpec(k_cap=k_cap, include_rays=rays)
                     fast = route_outcome(build_rho, induce_str_iso(rho, spec),
                                          k_cap, rays)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(reconstruction, "rho2_from_phi",
-                                      rho2_from_phi_by_node)
-                        patch.setattr(reconstruction, "rho1_from_psi",
-                                      rho1_from_psi_by_curve)
+                    with oracle_stages():
                         slow = route_outcome(
                             build_rho, induce_str_iso_by_domain(rho, spec),
                             k_cap, rays)
@@ -891,14 +906,6 @@ def test_census_validate_matches_all_pairs():
             assert_factorization_routes_agree(variant, rho)
             maps += 1
     assert maps > 2 * len(CENSUS)
-
-
-# The conflict kinds the README's reconstruct-report paragraph lists.
-CONFLICT_KINDS = {
-    "image-not-member", "image-fiber-not-singleton", "rho2-not-bijective",
-    "empty-fiber", "image-not-k-set", "rho1-ambiguous", "ray-image-not-ray",
-    "no-k-set", "ray-not-in-domain", "incidence-violation",
-    "factorization-violation", "not-the-hidden-map"}
 
 
 def test_corrupted_census_maps_never_recover():

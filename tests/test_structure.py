@@ -9,11 +9,10 @@ from strposet import (GeneratorParams, PosetFragment, StrNode,
                       counting_formula, down_set_in_fiber, enumerate_fiber,
                       finite_node, format_node, has_strictly_smaller,
                       mu_statistic, parity_mub_check, random_fragment,
-                      ray_node, str_leq, str_leq_bruteforce, str_member,
-                      w_max)
+                      ray_node, str_leq, str_member, w_max)
 from strposet.core import bits_of, mask_of
 from strposet.structure import (_bad, _down_set, _member, _strict_rows,
-                                node_from_tuple)
+                                node_from_tuple, str_leq_bruteforce)
 
 from conftest import fragment_and_member, fragments
 from helpers import (SmallPoset, brute_down_set, brute_fhp,
